@@ -136,25 +136,27 @@ func BenchmarkFormPWs(b *testing.B) {
 }
 
 func BenchmarkUopCacheLRU(b *testing.B) {
-	pws := benchTracePWs(b, "kafka", 20000)
+	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
-		uopcache.NewBehavior(c, nil).Run(pws)
+		c := uopcache.New(cfg, policy.NewLRU())
+		uopcache.NewBehavior(c, nil).RunPrepared(pt)
 	}
 }
 
 func BenchmarkUopCacheFURBYS(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
-	prof := profiles.Collect(pws, cfg, profiles.SourceFLACK)
+	pt := uopcache.Prepare(cfg, pws)
+	prof := profiles.CollectWith(pws, cfg, profiles.SourceFLACK, profiles.CollectOptions{Prepared: pt})
 	w := prof.Weights(cfg, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := uopcache.New(cfg, policy.NewFURBYS(policy.DefaultFURBYSConfig(), w))
-		uopcache.NewBehavior(c, nil).Run(pws)
+		uopcache.NewBehavior(c, nil).RunPrepared(pt)
 	}
 }
 
@@ -167,7 +169,8 @@ func BenchmarkUopCacheFURBYS(b *testing.B) {
 func BenchmarkPolicyLookup(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
-	prof := profiles.Collect(pws, cfg, profiles.SourceFLACK)
+	pt := uopcache.Prepare(cfg, pws)
+	prof := profiles.CollectWith(pws, cfg, profiles.SourceFLACK, profiles.CollectOptions{Prepared: pt})
 	weights := prof.Weights(cfg, 3)
 	cases := []struct {
 		name string
@@ -189,23 +192,23 @@ func BenchmarkPolicyLookup(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			c := uopcache.New(cfg, tc.mk())
 			beh := uopcache.NewBehavior(c, nil)
-			beh.Run(pws) // warm to steady state before timing
+			beh.RunPrepared(pt) // warm to steady state before timing
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				beh.Run(pws)
+				beh.RunPrepared(pt)
 			}
 		})
 	}
 }
 
 func BenchmarkFLACKSolve(b *testing.B) {
-	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		offline.ComputeDecisions(nil, pws, cfg, offline.CostVC, true, 0, 1)
+		offline.ComputeDecisionsPrepared(nil, pt, cfg, offline.CostVC, true, 0, 1)
 	}
 }
 
@@ -214,15 +217,17 @@ func BenchmarkFLACKSolve(b *testing.B) {
 // for the solver speedup; on a single-core host the two should be within
 // noise of each other.
 func BenchmarkFLACKSolveParallel(b *testing.B) {
-	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		offline.ComputeDecisions(nil, pws, cfg, offline.CostVC, true, 0, 0)
+		offline.ComputeDecisionsPrepared(nil, pt, cfg, offline.CostVC, true, 0, 0)
 	}
 }
 
+// BenchmarkBeladyReplay is a Belady replay with no prepared trace attached:
+// the replay prepares its own, so each op pays Prepare plus the replay.
 func BenchmarkBeladyReplay(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
@@ -233,10 +238,9 @@ func BenchmarkBeladyReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkBeladyReplayPrepared is the same replay over the columnar
-// prepared trace: per-window set/footprint reads and the shared CSR
-// occurrence index replace the per-replay map-of-slices build, which is
-// where the allocs/op drop against BenchmarkBeladyReplay comes from.
+// BenchmarkBeladyReplayPrepared is the same replay over a shared prepared
+// trace built once outside the timer, as every campaign cell runs it; the
+// gap to BenchmarkBeladyReplay is the per-run Prepare it skips.
 func BenchmarkBeladyReplayPrepared(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()

@@ -5,7 +5,7 @@
 //	experiments -list
 //	experiments [-blocks N] [-apps a,b,c] [-csv dir] [-md file] fig8 fig10 ...
 //	experiments [-parallel N] [-quiet] [-manifest run.json] [-telemetry FILE]
-//	            [-events FILE] [-pprof ADDR] all
+//	            [-events FILE] [-serve ADDR] all
 //	experiments [-resume dir] [-retries N] [-strict] [-faultinject SPEC] all
 //	experiments [-cache-dir dir] all
 //	experiments [-inspect lru,furbys] [-inspect-window N] [-trace-out t.json]

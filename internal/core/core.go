@@ -225,11 +225,9 @@ type BehaviorOptions struct {
 	// through the offline machinery (0 = GOMAXPROCS, 1 = serial). Replays
 	// and online policies are inherently serial and unaffected.
 	Workers int
-	// Prepared, when non-nil and built over exactly this lookup sequence
-	// under the run's micro-op cache geometry, supplies shared precomputed
-	// per-window attributes (set index, footprint, occurrence index). A
-	// mismatched Prepared is ignored — results are byte-identical either
-	// way.
+	// Prepared, when non-nil, is the shared prepared trace of this lookup
+	// sequence under the run's micro-op cache geometry; it must match both
+	// (see uopcache.Resolve) or the run panics. nil prepares one per run.
 	Prepared *trace.PreparedTrace
 	// Plans, when non-nil, caches solved FOO/FLACK keep-plans by content
 	// key so warm runs skip the min-cost-flow solve. nil disables caching.
@@ -248,6 +246,7 @@ type BehaviorResult struct {
 // RunBehavior drives a PW lookup sequence through the micro-op cache under
 // an online policy.
 func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorOptions) BehaviorResult {
+	pt := uopcache.Resolve(cfg.UopCache, pws, opts.Prepared)
 	base := pol
 	pol = opts.Telemetry.instrument(pol)
 	c := uopcache.New(cfg.UopCache, pol)
@@ -257,27 +256,16 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 		ic = cache.New(cfg.L1I)
 	}
 	b := uopcache.NewBehavior(c, ic)
-	pt := opts.Prepared
-	if pt != nil && (pt.Sig() != cfg.UopCache.Sig() || !pt.SameSequence(pws)) {
-		pt = nil
-	}
 	var res BehaviorResult
-	switch {
-	case opts.RecordPerLookup:
-		res.PerLookup = make([]uopcache.ProbeResult, 0, len(pws))
-		for i := range pws {
-			if pt != nil {
-				res.PerLookup = append(res.PerLookup, b.AccessIndexed(pt, i))
-			} else {
-				res.PerLookup = append(res.PerLookup, b.Access(pws[i]))
-			}
+	if opts.RecordPerLookup {
+		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
+		for i, n := 0, pt.Len(); i < n; i++ {
+			res.PerLookup = append(res.PerLookup, b.AccessIndexed(pt, i))
 		}
 		b.Flush()
 		res.Stats = c.Stats
-	case pt != nil:
+	} else {
 		res.Stats = b.RunPrepared(pt)
-	default:
-		res.Stats = b.Run(pws)
 	}
 	if f, ok := base.(*policy.FURBYS); ok {
 		st := f.Stats
@@ -288,8 +276,11 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 
 // RunBehaviorByName builds the named policy (collecting a FLACK profile for
 // the profile-guided ones from the same trace) and runs behaviour mode.
-// Offline names (belady/foo/flack) run the offline machinery.
+// Offline names (belady/foo/flack) run the offline machinery. The lookup
+// sequence is prepared once and shared by the profile collection and the
+// replay.
 func RunBehaviorByName(name string, pws []trace.PW, cfg Config, opts BehaviorOptions) (BehaviorResult, error) {
+	opts.Prepared = uopcache.Resolve(cfg.UopCache, pws, opts.Prepared)
 	switch name {
 	case "belady":
 		r := offline.RunBelady(pws, cfg.UopCache, offlineOptions(cfg, opts))
@@ -390,7 +381,9 @@ func RunTimingByNameObserved(name string, blocks []trace.Block, pws []trace.PW, 
 
 // TimingOptions bundles a by-name timing run's optional attachments:
 // observability plus the shared prepared trace and keep-plan cache consumed
-// by the offline schedule policies (both lossless; both nil-safe).
+// by the offline schedule policies and profile collection. Prepared follows
+// BehaviorOptions.Prepared: it must match the run, and nil prepares one
+// when a policy needs it.
 type TimingOptions struct {
 	Telemetry Telemetry
 	Prepared  *trace.PreparedTrace
@@ -401,22 +394,23 @@ type TimingOptions struct {
 
 // RunTimingByNameWith is RunTimingByName with the full attachment set.
 func RunTimingByNameWith(name string, blocks []trace.Block, pws []trace.PW, cfg Config, prof *profiles.Profile, opts TimingOptions) (TimingResult, error) {
-	sched := offline.ScheduleOptions{Workers: opts.Workers, Prepared: opts.Prepared, Plans: opts.Plans}
+	// Online policies replay the block trace itself; only plan-driven
+	// policies and profile collection read the prepared lookup sequence.
+	prepared := func() *trace.PreparedTrace { return uopcache.Resolve(cfg.UopCache, pws, opts.Prepared) }
+	sched := offline.ScheduleOptions{Workers: opts.Workers, Plans: opts.Plans}
 	var pol uopcache.Policy
 	switch name {
 	case "belady":
-		pol = offline.NewBeladyScheduleWith(pws, opts.Prepared)
+		pol = offline.NewBeladySchedule(prepared())
 	case "foo":
-		pol = offline.NewFLACKScheduleWith(pws, cfg.UopCache, offline.Features{}, sched)
+		pol = offline.NewFLACKSchedule(prepared(), cfg.UopCache, offline.Features{}, sched)
 	case "flack":
-		pol = offline.NewFLACKScheduleWith(pws, cfg.UopCache, offline.FLACKFeatures(), sched)
+		pol = offline.NewFLACKSchedule(prepared(), cfg.UopCache, offline.FLACKFeatures(), sched)
 	default:
-		if name == "thermometer" || name == "furbys" {
-			if prof == nil {
-				prof = profiles.CollectWith(pws, cfg.UopCache, profiles.SourceFLACK, profiles.CollectOptions{
-					Prepared: opts.Prepared, Plans: opts.Plans, Workers: opts.Workers,
-				})
-			}
+		if (name == "thermometer" || name == "furbys") && prof == nil {
+			prof = profiles.CollectWith(pws, cfg.UopCache, profiles.SourceFLACK, profiles.CollectOptions{
+				Prepared: prepared(), Plans: opts.Plans, Workers: opts.Workers,
+			})
 		}
 		p, err := NewPolicy(name, prof, cfg.UopCache, policy.FURBYSConfig{})
 		if err != nil {

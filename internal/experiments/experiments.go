@@ -232,10 +232,10 @@ type ctxSched struct {
 // statusCounters is the mutable part of a StatusSnapshot (guarded by
 // ctxSched.mu).
 type statusCounters struct {
-	expTotal, expDone                                 int
-	running                                           map[string]bool
+	expTotal, expDone                                   int
+	running                                             map[string]bool
 	cellsDone, cellsFailed, cellsRetried, cellsRestored int
-	attribution                                       *AttributionStatus
+	attribution                                         *AttributionStatus
 }
 
 // AttributionStatus is the attribution roll-up shown on the live dashboard
@@ -656,13 +656,6 @@ func (c *Context) runOptsFor(app string, input int) core.BehaviorOptions {
 	return opts
 }
 
-// runOptsRecord is runOpts with per-lookup outcome recording enabled.
-func (c *Context) runOptsRecord() core.BehaviorOptions {
-	opts := c.runOpts()
-	opts.RecordPerLookup = true
-	return opts
-}
-
 // runOptsRecordFor is runOptsFor with per-lookup outcome recording enabled.
 func (c *Context) runOptsRecordFor(app string, input int) core.BehaviorOptions {
 	opts := c.runOptsFor(app, input)
@@ -735,6 +728,21 @@ func (c *Context) Prepared(app string, input int) (*trace.PreparedTrace, error) 
 		}
 		return uopcache.Prepare(c.Cfg.UopCache, pws), nil
 	})
+}
+
+// preparedAt returns the prepared trace of pws, the app's input-0 lookup
+// sequence, under geometry ucfg for a cell that replays off the context's
+// geometry: the shared context trace when ucfg is the context's own micro-op
+// cache configuration, else a cell-local build. The caller attaches the
+// result to every consumer in the cell, so each (app, geometry) is prepared
+// once per cell and not kept beyond it.
+func (c *Context) preparedAt(app string, pws []trace.PW, ucfg uopcache.Config) *trace.PreparedTrace {
+	if ucfg == c.Cfg.UopCache {
+		if pt, err := c.Prepared(app, 0); err == nil {
+			return pt
+		}
+	}
+	return uopcache.Prepare(ucfg, pws)
 }
 
 // Profile returns (cached) the offline profile for an app/input/source

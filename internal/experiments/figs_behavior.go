@@ -89,13 +89,6 @@ func Table2(ctx *Context) (*Table, error) {
 func Sec3BMissClasses(ctx *Context) (*Table, error) {
 	t := &Table{Name: "sec3b", Title: "Miss classification: cold/capacity/conflict (Section III-B)",
 		Columns: []string{"application", "policy", "cold", "capacity", "conflict", "total misses"}}
-	lruCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
-		c := uopcache.New(cfg, policy.NewLRU())
-		return uopcache.NewBehavior(c, nil).Run(pws).Misses
-	}
-	flackCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
-		return offline.RunFLACK(pws, cfg, offline.Options{}).Stats.Misses
-	}
 	type row struct {
 		LRU, FLACK           [3]float64
 		LRUTotal, FLACKTotal uint64
@@ -104,6 +97,23 @@ func Sec3BMissClasses(ctx *Context) (*Table, error) {
 		_, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return row{}, err
+		}
+		// Classify replays under the context geometry and its
+		// fully-associative twin; each geometry is prepared once and
+		// shared by both counters.
+		preps := map[uopcache.Config]*trace.PreparedTrace{}
+		prepared := func(cfg uopcache.Config) *trace.PreparedTrace {
+			if preps[cfg] == nil {
+				preps[cfg] = ctx.preparedAt(app, pws, cfg)
+			}
+			return preps[cfg]
+		}
+		lruCounter := func(_ []trace.PW, cfg uopcache.Config) uint64 {
+			c := uopcache.New(cfg, policy.NewLRU())
+			return uopcache.NewBehavior(c, nil).RunPrepared(prepared(cfg)).Misses
+		}
+		flackCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
+			return offline.RunFLACK(pws, cfg, ctx.offlineOpts(offline.Options{Prepared: prepared(cfg)})).Stats.Misses
 		}
 		ml := stats.Classify(pws, ctx.Cfg.UopCache, lruCounter)
 		mf := stats.Classify(pws, ctx.Cfg.UopCache, flackCounter)
@@ -367,8 +377,9 @@ func Fig15ProfileSources(ctx *Context) (*Table, error) {
 
 // Fig16SizeAssocSweep reproduces Fig. 16: FURBYS vs GHRP across cache sizes
 // and associativities. Each valid (entries, ways) point is one scheduler
-// cell; the geometry differs from the context's, so profiles are collected
-// directly rather than through the (geometry-keyed) cache.
+// cell; the geometry differs from the context's, so each app's trace is
+// prepared once per cell and profiles are collected directly rather than
+// through the (geometry-keyed) cache.
 func Fig16SizeAssocSweep(ctx *Context) (*Table, error) {
 	t := &Table{Name: "fig16", Title: "Miss reduction across sizes and associativities: FURBYS vs GHRP (Fig. 16)",
 		Columns: []string{"entries", "ways", "furbys mean", "ghrp mean"}}
@@ -398,17 +409,20 @@ func Fig16SizeAssocSweep(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			base := core.RunBehavior(pws, cfg, policy.NewLRU(), ctx.runOpts())
+			pt := ctx.preparedAt(app, pws, cfg.UopCache)
+			opts := ctx.runOpts()
+			opts.Prepared = pt
+			base := core.RunBehavior(pws, cfg, policy.NewLRU(), opts)
 			prof := collectProfile(pws, cfg.UopCache, profiles.SourceFLACK, profiles.CollectOptions{
 				Metrics: ctx.Telemetry.Metrics, Events: ctx.Telemetry.Events,
-				Plans: ctx.plans(), Workers: ctx.Workers,
+				Prepared: pt, Plans: ctx.plans(), Workers: ctx.Workers,
 			})
 			pol, err := core.NewPolicy("furbys", prof, cfg.UopCache, policy.FURBYSConfig{})
 			if err != nil {
 				return point{}, err
 			}
-			fu = append(fu, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, pol, ctx.runOpts()).Stats))
-			gh = append(gh, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, policy.NewGHRP(), ctx.runOpts()).Stats))
+			fu = append(fu, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, pol, opts).Stats))
+			gh = append(gh, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, policy.NewGHRP(), opts).Stats))
 		}
 		return point{Fu: mean(fu), Gh: mean(gh)}, nil
 	})

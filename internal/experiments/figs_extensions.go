@@ -157,10 +157,13 @@ func SensObjective(ctx *Context) (*Table, error) {
 		if err != nil {
 			return [3]float64{}, err
 		}
+		pt, err := ctx.Prepared(app, 0)
+		if err != nil {
+			return [3]float64{}, err
+		}
 		var vals [3]float64
-		pt, _ := ctx.Prepared(app, 0)
 		for i, model := range []offline.CostModel{offline.CostOHR, offline.CostBHR, offline.CostVC} {
-			dec := offline.ComputeDecisionsCached(ctx.Ctx, pws, pt, ctx.Cfg.UopCache, model, true, 0, ctx.Workers, ctx.plans())
+			dec := offline.ComputeDecisionsCached(ctx.Ctx, pt, ctx.Cfg.UopCache, model, true, 0, ctx.Workers, ctx.plans())
 			res := offline.ReplayPlan(pws, ctx.Cfg.UopCache, dec, ctx.offlineOptsFor(app, 0, offline.Options{Features: offline.FLACKFeatures()}))
 			vals[i] = core.MissReduction(base, res.Stats)
 		}

@@ -46,11 +46,16 @@ func SensFragmentation(ctx *Context) (*Table, error) {
 			pws := trace.FormPWsWith(blocks, former)
 			cfg := ctx.Cfg
 			cfg.UopCache.Compaction = v.compaction
-			res := core.RunBehavior(pws, cfg, policy.NewLRU(), ctx.runOpts())
+			// The re-formed trace is this cell's own: prepare it once
+			// for both replays.
+			pt := uopcache.Prepare(cfg.UopCache, pws)
+			opts := ctx.runOpts()
+			opts.Prepared = pt
+			res := core.RunBehavior(pws, cfg, policy.NewLRU(), opts)
 			// Utilization sampled at end of run via a fresh cache
 			// replay is overkill; re-run and query.
 			c := uopcache.New(cfg.UopCache, policy.NewLRU())
-			uopcache.NewBehavior(c, nil).Run(pws)
+			uopcache.NewBehavior(c, nil).RunPrepared(pt)
 			return cell{Rate: res.Stats.UopMissRate(), Util: c.Utilization()}, nil
 		})
 		if err != nil {

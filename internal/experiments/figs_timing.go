@@ -241,7 +241,9 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			beh := core.RunBehavior(pws, cfg, pol, ctx.runOpts())
+			opts := ctx.runOpts()
+			opts.Prepared = ctx.preparedAt(app, pws, cfg.UopCache)
+			beh := core.RunBehavior(pws, cfg, pol, opts)
 			missRates = append(missRates, beh.Stats.UopMissRate())
 			reds = append(reds, core.MissReduction(base, beh.Stats))
 

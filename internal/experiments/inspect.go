@@ -64,7 +64,9 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 			return rows, err
 		}
 		appSp := c.Spans.Begin("attribution", "attribute/"+app)
-		_, pws, err := c.Trace(app, opts.Input)
+		// One prepared trace per app, shared by every policy's replay and
+		// the divergence plan.
+		pt, err := c.Prepared(app, opts.Input)
 		if err != nil {
 			appSp.End()
 			return rows, fmt.Errorf("attribution: trace %s: %w", app, err)
@@ -73,8 +75,7 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 		// check: the plan depends only on the trace and the geometry.
 		var keep []bool
 		if !opts.SkipDivergence {
-			pt, _ := c.Prepared(app, opts.Input)
-			dec := offline.ComputeDecisionsCached(c.ctx(), pws, pt, c.Cfg.UopCache, offline.CostVC, true, 0, c.Workers, c.plans())
+			dec := offline.ComputeDecisionsCached(c.ctx(), pt, c.Cfg.UopCache, offline.CostVC, true, 0, c.Workers, c.plans())
 			if err := c.ctx().Err(); err != nil {
 				appSp.End()
 				return rows, err
@@ -86,7 +87,7 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 				appSp.End()
 				return rows, err
 			}
-			row, err := attributeOne(c, app, pol, pws, keep, window)
+			row, err := attributeOne(c, app, pol, pt, keep, window)
 			if err != nil {
 				appSp.End()
 				return rows, err
@@ -101,17 +102,20 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 
 // attributeOne replays one (app, policy) pair with introspection attached
 // and reconciles the classification against the run's eviction counters.
-func attributeOne(c *Context, app, pol string, pws []trace.PW, keep []bool, window int) (inspect.Attribution, error) {
+func attributeOne(c *Context, app, pol string, pt *trace.PreparedTrace, keep []bool, window int) (inspect.Attribution, error) {
 	// A fresh registry scoped to this single run makes the reconciliation
 	// exact: uopcache_evictions_total here counts THIS replay's evictions
 	// and nothing else.
 	reg := telemetry.NewRegistry()
 	col := inspect.NewCollector()
 	col.Next = c.Telemetry.Events
+	pws := pt.PWs()
 	res, err := core.RunBehaviorByName(pol, pws, c.Cfg, core.BehaviorOptions{
 		Ctx:       c.ctx(),
 		Telemetry: core.Telemetry{Metrics: reg, Events: col},
 		Workers:   c.Workers,
+		Prepared:  pt,
+		Plans:     c.plans(),
 	})
 	if err != nil {
 		return inspect.Attribution{}, fmt.Errorf("attribution: %s/%s: %w", app, pol, err)

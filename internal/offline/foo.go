@@ -82,12 +82,14 @@ type fooRequest struct {
 	cost int32 // micro-ops
 }
 
-// ComputeDecisions solves the FOO/FLACK interval-caching problem for the
-// whole lookup sequence. The cache's set-associativity decomposes the
-// problem: each set is an independent capacity-constrained timeline solved
-// with min-cost flow. foldVariants enables FLACK's treatment of overlapping
-// same-start windows as one object sized by its largest variant. segLimit
-// bounds the per-set flow instance (0 selects DefaultSegmentLimit).
+// ComputeDecisionsPrepared solves the FOO/FLACK interval-caching problem for
+// the whole lookup sequence of a prepared trace. The cache's
+// set-associativity decomposes the problem: each set is an independent
+// capacity-constrained timeline solved with min-cost flow. foldVariants
+// enables FLACK's treatment of overlapping same-start windows as one object
+// sized by its largest variant. segLimit bounds the per-set flow instance
+// (0 selects DefaultSegmentLimit). pt must have been prepared under cfg's
+// geometry (uopcache.Resolve panics otherwise).
 //
 // workers bounds the solver's parallelism (0 = GOMAXPROCS, 1 = serial).
 // Every (set, segment) flow instance is independent — each builds its own
@@ -101,28 +103,17 @@ type fooRequest struct {
 // discarded — callers that hold a cancellable context are responsible for
 // checking ctx.Err() before using the plan (the experiment scheduler does
 // this centrally before merging or journaling any cell result).
-func ComputeDecisions(ctx context.Context, pws []trace.PW, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
-	return computeDecisions(ctx, pws, nil, cfg, model, foldVariants, segLimit, workers)
-}
-
-// ComputeDecisionsPrepared is ComputeDecisions over a prepared trace: the
-// per-window set indices come from the shared columns and the fold-mode
-// prefix maxima use the dense key ids instead of a map. The produced plan
-// is byte-identical to the unprepared solve.
 func ComputeDecisionsPrepared(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
-	return computeDecisions(ctx, pt.PWs(), pt, cfg, model, foldVariants, segLimit, workers)
+	return computeDecisions(ctx, uopcache.Resolve(cfg, pt.PWs(), pt), cfg, model, foldVariants, segLimit, workers)
 }
 
-// computeDecisions is the shared solve body; pt may be nil (unprepared).
-func computeDecisions(ctx context.Context, pws []trace.PW, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
+// computeDecisions is the solve body behind ComputeDecisionsPrepared and
+// the plan cache.
+func computeDecisions(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
 	if segLimit <= 0 {
 		segLimit = DefaultSegmentLimit
 	}
-	if pt != nil && (pt.Sig() != cfg.Sig() || !pt.SameSequence(pws)) {
-		// Stale or mismatched columns: fall back to recomputing rather
-		// than trusting them (lossless by construction).
-		pt = nil
-	}
+	pws := pt.PWs()
 	dec := &Decisions{Keep: make([]bool, len(pws)), Model: model, FoldVariants: foldVariants}
 
 	// Identity and (size, cost) per object. With folding, an object is
@@ -138,57 +129,38 @@ func computeDecisions(ctx context.Context, pws []trace.PW, pt *trace.PreparedTra
 	// With folding, a request's footprint is the PREFIX max of its
 	// variants: the cache stores the largest window seen so far (growth
 	// happens on partial hits), so planning against the global max would
-	// overstate early intervals' size and cost. The prepared path keeps
-	// the maxima in a flat array indexed by dense key id.
-	var prefixMax map[uint64]int32
-	var prefixMaxA []int32
+	// overstate early intervals' size and cost. The maxima live in a flat
+	// array indexed by dense key id.
+	var prefixMax []int32
 	if foldVariants {
-		if pt != nil {
-			prefixMaxA = make([]int32, pt.NumKeys())
-		} else {
-			prefixMax = make(map[uint64]int32)
-		}
+		prefixMax = make([]int32, pt.NumKeys())
 	}
 
-	// Partition requests per set. With a prepared trace the per-set counts
-	// are known up front, so the request lists are carved out of one arena
-	// instead of growing by repeated append.
+	// Partition requests per set. The per-set counts are known up front,
+	// so the request lists are carved out of one arena instead of growing
+	// by repeated append.
 	perSet := make([][]fooRequest, cfg.Sets())
-	if pt != nil {
-		counts := make([]int32, cfg.Sets())
-		for i := 0; i < pt.Len(); i++ {
-			counts[pt.Set(i)]++
-		}
-		arena := make([]fooRequest, len(pws))
-		off := 0
-		for s := range perSet {
-			n := int(counts[s])
-			perSet[s] = arena[off:off : off+n]
-			off += n
-		}
+	counts := make([]int32, cfg.Sets())
+	for i := range pws {
+		counts[pt.Set(i)]++
+	}
+	arena := make([]fooRequest, len(pws))
+	off := 0
+	for s := range perSet {
+		n := int(counts[s])
+		perSet[s] = arena[off : off : off+n]
+		off += n
 	}
 	for i := range pws {
 		p := &pws[i]
-		var set int
-		if pt != nil {
-			set = pt.Set(i)
-		} else {
-			set = cfg.SetIndex(p.Start)
-		}
+		set := pt.Set(i)
 		cost := int32(p.NumUops)
 		if foldVariants {
-			if pt != nil {
-				id := pt.KeyID(i)
-				if cost > prefixMaxA[id] {
-					prefixMaxA[id] = cost
-				}
-				cost = prefixMaxA[id]
-			} else {
-				if cost > prefixMax[p.Start] {
-					prefixMax[p.Start] = cost
-				}
-				cost = prefixMax[p.Start]
+			id := pt.KeyID(i)
+			if cost > prefixMax[id] {
+				prefixMax[id] = cost
 			}
+			cost = prefixMax[id]
 		}
 		size := (cost + int32(cfg.UopsPerEntry) - 1) / int32(cfg.UopsPerEntry)
 		if size < 1 {

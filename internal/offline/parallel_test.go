@@ -20,11 +20,12 @@ func TestComputeDecisionsWorkerInvariance(t *testing.T) {
 	for i := 0; i < 12000; i++ {
 		s = append(s, pw(uint64(0x1000+rng.Intn(400)*16), 1+rng.Intn(24)))
 	}
+	pt := uopcache.Prepare(cfg, s)
 	for _, model := range []CostModel{CostOHR, CostBHR, CostVC} {
 		for _, fold := range []bool{false, true} {
-			ref := ComputeDecisions(nil, s, cfg, model, fold, 256, 1)
+			ref := ComputeDecisionsPrepared(nil, pt, cfg, model, fold, 256, 1)
 			for _, workers := range []int{2, 4, 0} {
-				got := ComputeDecisions(nil, s, cfg, model, fold, 256, workers)
+				got := ComputeDecisionsPrepared(nil, pt, cfg, model, fold, 256, workers)
 				if len(got.Keep) != len(ref.Keep) {
 					t.Fatalf("model=%v fold=%v workers=%d: plan length %d != %d", model, fold, workers, len(got.Keep), len(ref.Keep))
 				}

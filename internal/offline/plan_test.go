@@ -14,12 +14,6 @@ import (
 	"uopsim/internal/uopcache"
 )
 
-// preparedFor builds the columnar view the way every consumer does: with
-// the geometry's own attribute functions.
-func preparedFor(pws []trace.PW, cfg uopcache.Config) *trace.PreparedTrace {
-	return uopcache.Prepare(cfg, pws)
-}
-
 // planSeq builds a lookup sequence long enough for a non-trivial solve.
 func planSeq(n int) []trace.PW {
 	rng := rand.New(rand.NewSource(7))
@@ -34,7 +28,7 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 	s := planSeq(500)
 	for _, model := range []CostModel{CostOHR, CostBHR, CostVC} {
 		for _, fold := range []bool{false, true} {
-			d := ComputeDecisions(nil, s, tinyCfg(), model, fold, 0, 1)
+			d := ComputeDecisionsPrepared(nil, uopcache.Prepare(tinyCfg(), s), tinyCfg(), model, fold, 0, 1)
 			var buf bytes.Buffer
 			if err := EncodePlan(&buf, d); err != nil {
 				t.Fatalf("EncodePlan(%s, fold=%v): %v", model, fold, err)
@@ -152,7 +146,7 @@ func TestPlanStoreRoundTrip(t *testing.T) {
 	if _, ok := plans.Load(key); ok {
 		t.Fatal("empty store returned a plan")
 	}
-	cold := ComputeDecisionsCached(context.Background(), s, nil, cfg, CostVC, true, 0, 1, plans)
+	cold := ComputeDecisionsCached(context.Background(), uopcache.Prepare(cfg, s), cfg, CostVC, true, 0, 1, plans)
 	cached, ok := plans.Load(key)
 	if !ok {
 		t.Fatal("solve was not stored")
@@ -160,7 +154,7 @@ func TestPlanStoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(cached, cold) {
 		t.Fatal("stored plan differs from the solved plan")
 	}
-	warm := ComputeDecisionsCached(context.Background(), s, nil, cfg, CostVC, true, 0, 1, plans)
+	warm := ComputeDecisionsCached(context.Background(), uopcache.Prepare(cfg, s), cfg, CostVC, true, 0, 1, plans)
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatal("warm plan differs from cold plan")
 	}
@@ -182,23 +176,8 @@ func TestComputePlanSkipsStoreWhenCancelled(t *testing.T) {
 	cfg := tinyCfg()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ComputeDecisionsCached(ctx, s, nil, cfg, CostVC, true, 0, 1, plans)
+	ComputeDecisionsCached(ctx, uopcache.Prepare(cfg, s), cfg, CostVC, true, 0, 1, plans)
 	if _, ok := plans.Load(PlanKey(s, cfg, CostVC, true, 0)); ok {
 		t.Fatal("cancelled solve was stored")
-	}
-}
-
-// TestPreparedSolveMatchesUnprepared pins the columnar solver path to the
-// plain one: same plan, bit for bit, fold on and off.
-func TestPreparedSolveMatchesUnprepared(t *testing.T) {
-	s := planSeq(2000)
-	cfg := tinyCfg()
-	pt := preparedFor(s, cfg)
-	for _, fold := range []bool{false, true} {
-		plain := ComputeDecisions(nil, s, cfg, CostVC, fold, 0, 1)
-		cols := ComputeDecisionsPrepared(nil, pt, cfg, CostVC, fold, 0, 1)
-		if !reflect.DeepEqual(plain, cols) {
-			t.Fatalf("prepared solve diverged (fold=%v)", fold)
-		}
 	}
 }

@@ -63,25 +63,19 @@ func (f Features) Label() string {
 // pressure (this method only runs when the set is full), which is exactly
 // FLACK's bypass throttling.
 type replayPolicy struct {
-	o *Oracle
-	// curKeep tracks, per window, whether the plan keeps its current
-	// interval (updated by the driver at each lookup). With a prepared
-	// trace the bits live in curKeepA, indexed by dense key id, and the
-	// map stays nil.
-	curKeep  map[uint64]bool
-	pt       *trace.PreparedTrace
-	curKeepA []bool
+	o  *Oracle
+	pt *trace.PreparedTrace
+	// curKeep tracks, per dense key id, whether the plan keeps the
+	// window's current interval (updated by the driver at each lookup).
+	curKeep []bool
 }
 
 // kept reads the plan's current decision for a window.
 //
 //simlint:hotpath
 func (p *replayPolicy) kept(key uint64) bool {
-	if p.pt != nil {
-		id, ok := p.pt.IDOf(key)
-		return ok && p.curKeepA[id]
-	}
-	return p.curKeep[key]
+	id, ok := p.pt.IDOf(key)
+	return ok && p.curKeep[id]
 }
 
 // Name implements uopcache.Policy.
@@ -136,9 +130,9 @@ type Result struct {
 // Options configures an offline replay run.
 type Options struct {
 	// Ctx, when non-nil, cancels the plan solve: a cancelled context makes
-	// ComputeDecisions return early with an incomplete plan, so callers
-	// that set Ctx must discard the Result when Ctx.Err() != nil after the
-	// run. nil means never cancelled.
+	// the solve return early with an incomplete plan, so callers that set
+	// Ctx must discard the Result when Ctx.Err() != nil after the run. nil
+	// means never cancelled.
 	Ctx context.Context
 	// Features selects the FLACK extensions (zero = raw FOO).
 	Features Features
@@ -151,33 +145,22 @@ type Options struct {
 	// RecordPerLookup enables Result.PerLookup.
 	RecordPerLookup bool
 	// Workers bounds the plan solver's parallelism (0 = GOMAXPROCS,
-	// 1 = serial). Only ComputeDecisions fans out; the replay itself is
-	// inherently serial (see replayDecisions).
+	// 1 = serial). Only the solve fans out; the replay itself is inherently
+	// serial (see replayDecisions).
 	Workers int
 	// Metrics, when non-nil, receives the live uopcache_* counters of
 	// the replay; Events, when non-nil, receives the structured decision
 	// trace. Both are optional observability attachments.
 	Metrics *telemetry.Registry
 	Events  telemetry.EventSink
-	// Prepared, when non-nil and built over exactly the pws slice under
-	// the run's geometry, supplies the shared columnar attributes (set
-	// index, footprint, occurrence index) so the replay allocates no
-	// per-run oracle maps. A mismatched Prepared is ignored and the
-	// unprepared path runs — results are byte-identical either way.
+	// Prepared, when non-nil, is the shared prepared trace of the run's
+	// lookup sequence under its geometry; it must match both (see
+	// uopcache.Resolve) or the run panics. nil prepares one per run.
 	Prepared *trace.PreparedTrace
 	// Plans, when non-nil, caches solved keep-plans by content key: a hit
 	// skips the min-cost-flow solve entirely, a miss stores the fresh
 	// plan for future runs. nil disables plan caching.
 	Plans PlanCache
-}
-
-// prepared validates the Prepared attachment against the run's sequence
-// and geometry, returning nil (the unprepared path) on any mismatch.
-func (o Options) prepared(pws []trace.PW, cfg uopcache.Config) *trace.PreparedTrace {
-	if o.Prepared == nil || o.Prepared.Sig() != cfg.Sig() || !o.Prepared.SameSequence(pws) {
-		return nil
-	}
-	return o.Prepared
 }
 
 // attach wires the optional observability attachments into a replay cache.
@@ -198,15 +181,28 @@ func RunFOO(pws []trace.PW, cfg uopcache.Config, opts Options) Result {
 	if opts.Features.VarCost {
 		model = CostVC
 	}
-	dec := computePlan(opts.Ctx, pws, opts.prepared(pws, cfg), cfg, model, opts.Features.SelBypass, opts.SegmentLimit, opts.Workers, opts.Plans)
-	return replayDecisions(pws, cfg, dec, opts)
+	pt := uopcache.Resolve(cfg, pws, opts.Prepared)
+	dec := computePlan(opts.Ctx, pt, cfg, model, opts.Features.SelBypass, opts.SegmentLimit, opts.Workers, opts.Plans)
+	return replayDecisions(pt, cfg, dec, opts)
 }
 
 // ReplayPlan drives the behaviour simulator under an externally computed
 // plan — used by objective-comparison studies that want to vary the flow
 // objective independently of the replay features.
 func ReplayPlan(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Options) Result {
-	return replayDecisions(pws, cfg, dec, opts)
+	return replayDecisions(uopcache.Resolve(cfg, pws, opts.Prepared), cfg, dec, opts)
+}
+
+// newReplay builds the cache and behaviour driver of one offline replay
+// under pol, with the options' observability and L1i attached.
+func newReplay(cfg uopcache.Config, pol uopcache.Policy, opts Options) (*uopcache.Cache, *uopcache.Behavior) {
+	c := uopcache.New(cfg, pol)
+	opts.attach(c)
+	var ic *cache.Cache
+	if opts.ICache != nil {
+		ic = cache.New(*opts.ICache)
+	}
+	return c, uopcache.NewBehavior(c, ic)
 }
 
 // replayDecisions drives the behaviour simulator under a plan.
@@ -218,57 +214,36 @@ func ReplayPlan(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Option
 // replay per set would change those interleavings and therefore the
 // results, so parallel speedup for replays comes from running independent
 // (experiment, app) cells concurrently at the harness layer instead.
-func replayDecisions(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Options) Result {
-	pt := opts.prepared(pws, cfg)
-	var o *Oracle
-	rp := &replayPolicy{}
-	if pt != nil {
-		o = NewOraclePrepared(pt)
-		rp.pt, rp.curKeepA = pt, make([]bool, pt.NumKeys())
-	} else {
-		o = NewOracle(pws)
-		rp.curKeep = make(map[uint64]bool)
-	}
-	rp.o = o
-	c := uopcache.New(cfg, rp)
-	opts.attach(c)
-	var ic *cache.Cache
-	if opts.ICache != nil {
-		ic = cache.New(*opts.ICache)
-	}
-	b := uopcache.NewBehavior(c, ic)
+func replayDecisions(pt *trace.PreparedTrace, cfg uopcache.Config, dec *Decisions, opts Options) Result {
+	o := NewOracle(pt)
+	rp := &replayPolicy{o: o, pt: pt, curKeep: make([]bool, pt.NumKeys())}
+	c, b := newReplay(cfg, rp, opts)
 	var res Result
 	if opts.RecordPerLookup {
-		res.PerLookup = make([]uopcache.ProbeResult, 0, len(pws))
+		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
 	}
-	for i := range pws {
-		pw := pws[i]
+	for i, n := 0, pt.Len(); i < n; i++ {
 		o.Advance(i)
 		kept := dec.Keep[i]
-		var r uopcache.ProbeResult
-		if pt != nil {
-			rp.curKeepA[pt.KeyID(i)] = kept
-			r = b.AccessIndexed(pt, i)
-		} else {
-			rp.curKeep[pw.Start] = kept
-			r = b.Access(pw)
-		}
+		rp.curKeep[pt.KeyID(i)] = kept
+		r := b.AccessIndexed(pt, i)
 		if opts.RecordPerLookup {
 			res.PerLookup = append(res.PerLookup, r)
 		}
 		if !kept {
+			start := pt.At(i).Start
 			if !opts.Features.Async {
 				// Raw FOO applies its decision at lookup time:
 				// evict the resident now and cancel the pending
 				// insertion, oblivious to asynchrony.
-				c.EvictKey(pw.Start)
-				b.CancelInFlight(pw.Start)
+				c.EvictKey(start)
+				b.CancelInFlight(start)
 			} else if !opts.Features.SelBypass {
 				// A without SB: late insertions of unkept
 				// windows are bypassed on arrival (the queue
 				// safeguard), and residents linger until
 				// pressure (lazy eviction via the policy).
-				b.CancelInFlight(pw.Start)
+				b.CancelInFlight(start)
 			}
 			// With SelBypass the window may still be inserted when
 			// space allows; the policy bypasses it under pressure.
@@ -281,33 +256,16 @@ func replayDecisions(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts O
 
 // RunBelady replays the lookup sequence under Belady's algorithm.
 func RunBelady(pws []trace.PW, cfg uopcache.Config, opts Options) Result {
-	pt := opts.prepared(pws, cfg)
-	var o *Oracle
-	if pt != nil {
-		o = NewOraclePrepared(pt)
-	} else {
-		o = NewOracle(pws)
-	}
-	bp := NewBelady(o)
-	c := uopcache.New(cfg, bp)
-	opts.attach(c)
-	var ic *cache.Cache
-	if opts.ICache != nil {
-		ic = cache.New(*opts.ICache)
-	}
-	b := uopcache.NewBehavior(c, ic)
+	pt := uopcache.Resolve(cfg, pws, opts.Prepared)
+	o := NewOracle(pt)
+	c, b := newReplay(cfg, NewBelady(o), opts)
 	var res Result
 	if opts.RecordPerLookup {
-		res.PerLookup = make([]uopcache.ProbeResult, 0, len(pws))
+		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
 	}
-	for i := range pws {
+	for i, n := 0, pt.Len(); i < n; i++ {
 		o.Advance(i)
-		var r uopcache.ProbeResult
-		if pt != nil {
-			r = b.AccessIndexed(pt, i)
-		} else {
-			r = b.Access(pws[i])
-		}
+		r := b.AccessIndexed(pt, i)
 		if opts.RecordPerLookup {
 			res.PerLookup = append(res.PerLookup, r)
 		}

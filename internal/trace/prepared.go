@@ -18,9 +18,8 @@ type PreparedTrace struct {
 	foot []int32
 	ents []int32
 	// sig fingerprints the geometry the columns were computed under;
-	// consumers compare it against their own configuration and fall back
-	// to the uncolumnar path on mismatch rather than trusting stale
-	// attributes.
+	// the geometry owner checks it before any replay reads the columns
+	// and rejects a mismatch rather than trusting stale attributes.
 	sig uint64
 
 	// Occurrence index: keyID[i] is the dense id of pws[i].Start (ids
@@ -149,8 +148,8 @@ func (pt *PreparedTrace) Occurrences(id int32) []int32 {
 }
 
 // SameSequence reports whether pt was built over exactly this slice: same
-// length and same backing array. Consumers use it as a cheap guard before
-// trusting positional columns for a caller-supplied sequence.
+// length and same backing array. It is the cheap guard checked before
+// positional columns are trusted for a caller-supplied sequence.
 //
 //simlint:hotpath
 func (pt *PreparedTrace) SameSequence(pws []PW) bool {

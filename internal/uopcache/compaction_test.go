@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"uopsim/internal/policy"
+	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 )
 
@@ -74,12 +75,11 @@ func TestCompactionReducesMisses(t *testing.T) {
 	run := func(compaction bool) float64 {
 		cfg := uopcache.Config{Entries: 64, Ways: 8, UopsPerEntry: 8, InsertDelay: 0, Compaction: compaction}
 		c := uopcache.New(cfg, policy.NewLRU())
-		b := uopcache.NewBehavior(c, nil)
+		var seq []trace.PW
 		for _, a := range mkTrace() {
-			b.Access(pw(a, 3)) // small windows: heavy fragmentation
+			seq = append(seq, pw(a, 3)) // small windows: heavy fragmentation
 		}
-		b.Flush()
-		return c.Stats.UopMissRate()
+		return uopcache.NewBehavior(c, nil).RunPrepared(uopcache.Prepare(cfg, seq)).UopMissRate()
 	}
 	base, comp := run(false), run(true)
 	if comp > base {

@@ -41,50 +41,21 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 }
 
-func TestRunWithWarmup(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.InsertDelay = 0
-	seq := make([]trace.PW, 0, 100)
-	for i := 0; i < 100; i++ {
-		seq = append(seq, pw(0x1000, 4))
-	}
-	// With 50% warmup, the cold miss at position 0 is discarded: zero
-	// misses measured.
-	c := uopcache.New(cfg, policy.NewLRU())
-	st := uopcache.NewBehavior(c, nil).RunWithWarmup(seq, 0.5)
-	if st.Misses != 0 {
-		t.Errorf("warmed-up misses = %d, want 0", st.Misses)
-	}
-	if st.Lookups != 50 {
-		t.Errorf("measured lookups = %d, want 50", st.Lookups)
-	}
-	// Clamping: negative and >0.9 fractions are tolerated.
-	c2 := uopcache.New(cfg, policy.NewLRU())
-	if st := uopcache.NewBehavior(c2, nil).RunWithWarmup(seq, -1); st.Lookups != 100 {
-		t.Errorf("clamped-low lookups = %d", st.Lookups)
-	}
-	c3 := uopcache.New(cfg, policy.NewLRU())
-	if st := uopcache.NewBehavior(c3, nil).RunWithWarmup(seq, 5); st.Lookups != 10 {
-		t.Errorf("clamped-high lookups = %d", st.Lookups)
-	}
-}
-
 // TestQuickAccountingInvariants drives random operation sequences (derived
 // from a quick-checked seed) and verifies the cache's accounting invariants.
 func TestQuickAccountingInvariants(t *testing.T) {
 	f := func(seed uint64, delayRaw uint8) bool {
 		cfg := uopcache.Config{Entries: 32, Ways: 8, UopsPerEntry: 8, InsertDelay: int(delayRaw % 6)}
 		c := uopcache.New(cfg, policy.NewLRU())
-		b := uopcache.NewBehavior(c, nil)
+		seq := make([]trace.PW, 0, 3000)
 		state := seed | 1
 		for i := 0; i < 3000; i++ {
 			state = state*6364136223846793005 + 1442695040888963407
 			start := uint64(0x1000 + (state>>33)%300*16)
 			uops := 1 + int((state>>17)%24)
-			b.Access(pw(start, uops))
+			seq = append(seq, pw(start, uops))
 		}
-		b.Flush()
-		st := c.Stats
+		st := uopcache.NewBehavior(c, nil).RunPrepared(uopcache.Prepare(cfg, seq))
 		if st.UopsHit+st.UopsMissed != st.UopsRequested {
 			return false
 		}

@@ -495,9 +495,9 @@ func (c Config) Footprint(uops int) int {
 
 // Sig fingerprints the parts of the configuration that determine per-window
 // attributes (set index, footprint, entry count). PreparedTrace carries it
-// so consumers can detect a geometry mismatch and fall back to recomputing
-// attributes instead of trusting stale columns. InsertDelay is deliberately
-// excluded: it affects replay timing, not per-window attributes.
+// so Resolve can reject columns computed under another geometry.
+// InsertDelay is deliberately excluded: it affects replay timing, not
+// per-window attributes.
 func (c Config) Sig() uint64 {
 	s := uint64(c.Entries)<<32 | uint64(c.Ways)<<16 | uint64(c.UopsPerEntry)<<1
 	if c.Compaction {
@@ -516,6 +516,22 @@ func Prepare(cfg Config, pws []trace.PW) *trace.PreparedTrace {
 		func(p trace.PW) int { return cfg.Footprint(int(p.NumUops)) },
 		func(p trace.PW) int { return p.Entries(cfg.UopsPerEntry) },
 	)
+}
+
+// Resolve returns the prepared trace a replay of pws under cfg reads: the
+// attached trace when it was built over exactly pws under cfg's geometry,
+// or a fresh Prepare when nothing is attached. An attachment built for
+// another sequence or geometry is a caller bug and panics — a replay must
+// never silently run over columns that describe something else.
+func Resolve(cfg Config, pws []trace.PW, attached *trace.PreparedTrace) *trace.PreparedTrace {
+	if attached == nil {
+		return Prepare(cfg, pws)
+	}
+	if attached.Sig() != cfg.Sig() || !attached.SameSequence(pws) {
+		panic(fmt.Sprintf("uopcache: prepared trace does not match the replay (sig %x, want %x; %d windows, want %d)",
+			attached.Sig(), cfg.Sig(), attached.Len(), len(pws)))
+	}
+	return attached
 }
 
 // EvictKey force-evicts the window with the given start address, if

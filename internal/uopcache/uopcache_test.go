@@ -254,19 +254,20 @@ func TestBehaviorInsertDelay(t *testing.T) {
 	b := uopcache.NewBehavior(c, nil)
 	w := pw(0x1000, 4)
 	other := pw(0x7000, 4)
-	b.Access(w) // miss, schedules insertion due at lookup 4
+	pt := uopcache.Prepare(cfg, []trace.PW{w, w, other, w})
+	b.AccessIndexed(pt, 0) // miss, schedules insertion due at lookup 4
 	if !b.InFlight(w.Start) {
 		t.Fatal("insertion not in flight")
 	}
 	// Lookups 2 and 3: w is still absent (asynchrony) — these miss.
-	if r := b.Access(w); r.Kind != uopcache.ProbeMiss {
+	if r := b.AccessIndexed(pt, 1); r.Kind != uopcache.ProbeMiss {
 		t.Errorf("lookup 2 = %+v, want miss (still in decode pipe)", r)
 	}
-	if r := b.Access(other); r.Kind != uopcache.ProbeMiss {
+	if r := b.AccessIndexed(pt, 2); r.Kind != uopcache.ProbeMiss {
 		t.Errorf("lookup 3 = %+v", r)
 	}
 	// Lookup 4: the insertion drains before the probe — now a hit.
-	if r := b.Access(w); r.Kind != uopcache.ProbeFull {
+	if r := b.AccessIndexed(pt, 3); r.Kind != uopcache.ProbeFull {
 		t.Errorf("lookup 4 = %+v, want full hit after drain", r)
 	}
 	if b.InFlight(w.Start) {
@@ -280,11 +281,10 @@ func TestBehaviorCoalescing(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.InsertDelay = 5
 	c := uopcache.New(cfg, policy.NewLRU())
-	b := uopcache.NewBehavior(c, nil)
-	b.Access(pw(0x1000, 4))
-	b.Access(pw(0x1000, 12)) // larger overlapping window while in flight
-	b.Access(pw(0x1000, 6))
-	b.Flush()
+	// The 12-uop window is a larger overlapping request while the first
+	// is in flight.
+	pt := uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4), pw(0x1000, 12), pw(0x1000, 6)})
+	uopcache.NewBehavior(c, nil).RunPrepared(pt)
 	if c.Stats.Insertions != 1 {
 		t.Errorf("insertions = %d, want 1 (coalesced)", c.Stats.Insertions)
 	}
@@ -299,7 +299,7 @@ func TestBehaviorCancelInFlight(t *testing.T) {
 	cfg.InsertDelay = 4
 	c := uopcache.New(cfg, policy.NewLRU())
 	b := uopcache.NewBehavior(c, nil)
-	b.Access(pw(0x1000, 4))
+	b.AccessIndexed(uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4)}), 0)
 	if !b.CancelInFlight(0x1000) {
 		t.Fatal("cancel failed")
 	}
@@ -328,13 +328,14 @@ func TestBehaviorInclusion(t *testing.T) {
 	ic := cache.New(cache.Config{SizeBytes: 128, LineBytes: 64, Ways: 1})
 	b := uopcache.NewBehavior(c, ic)
 	w := pw(0x0000, 4) // line 0x0000, icache set 0
-	b.Access(w)
-	b.Access(w) // inserted by now; hit
+	// The third lookup touches a conflicting icache line (same set 0).
+	pt := uopcache.Prepare(cfg, []trace.PW{w, w, pw(0x0080, 4)})
+	b.AccessIndexed(pt, 0)
+	b.AccessIndexed(pt, 1) // inserted by now; hit
 	if _, ok := c.ResidentFor(w.Start); !ok {
 		t.Fatal("window not resident")
 	}
-	// Touch a conflicting icache line (same set 0): 0x0080.
-	b.Access(pw(0x0080, 4))
+	b.AccessIndexed(pt, 2)
 	if _, ok := c.ResidentFor(w.Start); ok {
 		t.Error("window survived L1i eviction of its line (inclusion violated)")
 	}
@@ -352,7 +353,7 @@ func TestBehaviorRun(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		seq = append(seq, pw(0x1000, 4), pw(0x2000, 6))
 	}
-	st := b.Run(seq)
+	st := b.RunPrepared(uopcache.Prepare(cfg, seq))
 	if st.Lookups != 200 {
 		t.Errorf("lookups = %d", st.Lookups)
 	}
@@ -361,6 +362,34 @@ func TestBehaviorRun(t *testing.T) {
 	}
 	if b.Lookups() != 200 {
 		t.Errorf("Lookups() = %d", b.Lookups())
+	}
+}
+
+// TestBehaviorSteadyStateZeroAllocs proves at run time that the replay hot
+// path allocates nothing: a warm Behavior replaying a miss-heavy prepared
+// trace, with insertions in flight, makes no allocation. Every window lives
+// in one shared icache line that always has residents, so the line index
+// never drops and re-adds an entry.
+func TestBehaviorSteadyStateZeroAllocs(t *testing.T) {
+	cfg := uopcache.Config{Entries: 32, Ways: 4, UopsPerEntry: 8, InsertDelay: 3}
+	shared := []uint64{0x1000}
+	// 48 distinct one-entry windows cycled through 32 slots: LRU thrashes.
+	seq := make([]trace.PW, 0, 480)
+	for i := 0; i < cap(seq); i++ {
+		w := pw(0x1000+uint64(i%48)*16, 4)
+		w.Lines = shared
+		seq = append(seq, w)
+	}
+	pt := uopcache.Prepare(cfg, seq)
+	c := uopcache.New(cfg, policy.NewLRU())
+	b := uopcache.NewBehavior(c, nil)
+	b.RunPrepared(pt) // warm: fill every set and the line index
+	c.ResetStats()
+	if allocs := testing.AllocsPerRun(20, func() { b.RunPrepared(pt) }); allocs != 0 {
+		t.Errorf("warm replay allocated %.1f times per run, want 0", allocs)
+	}
+	if st := c.Stats; st.Misses < st.Lookups*9/10 {
+		t.Errorf("trace is not miss-heavy: %d misses in %d lookups", st.Misses, st.Lookups)
 	}
 }
 
