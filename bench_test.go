@@ -16,6 +16,7 @@ import (
 	"uopsim/internal/analysis"
 	"uopsim/internal/core"
 	"uopsim/internal/experiments"
+	"uopsim/internal/frontend"
 	"uopsim/internal/offline"
 	"uopsim/internal/policy"
 	"uopsim/internal/profiles"
@@ -260,6 +261,24 @@ func BenchmarkTimingModel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.RunTiming(blocks, cfg, policy.NewLRU())
+	}
+}
+
+// BenchmarkTimingColumns is one timing run over shared, prebuilt timing
+// columns: the per-cell cost a campaign pays once the app's formation pass
+// and predictor pass have run. The gap to BenchmarkTimingModel, which
+// builds its own columns, is what those two passes cost a run.
+func BenchmarkTimingColumns(b *testing.B) {
+	tr, err := core.TraceForCached("kafka", 20000, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	opts := core.TimingOptions{Columns: frontend.NewColumns(tr.Blocks, tr.PWs, tr.EmitEnd, cfg.Branch)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.RunTimingWith(tr.Blocks, cfg, policy.NewLRU(), opts)
 	}
 }
 

@@ -8,6 +8,9 @@
 package branch
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+
 	"uopsim/internal/trace"
 )
 
@@ -37,6 +40,20 @@ func DefaultConfig() Config {
 		TaggedBits:  10,
 		HistLens:    []int{8, 32, 128},
 	}
+}
+
+// Sig fingerprints the configuration: two configurations with the same
+// Sig drive the predictor identically, so outcome columns computed under
+// one are valid for the other.
+func (c Config) Sig() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range append([]int{c.BTBEntries, c.BTBWays, c.RASEntries, c.IBTBEntries,
+		c.BimodalBits, c.TaggedBits, len(c.HistLens)}, c.HistLens...) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // Zen4Config returns a larger frontend configuration for the paper's Fig. 17
@@ -205,13 +222,36 @@ func (p *Predictor) updateDir(pc uint64, taken, predicted bool, provider int) {
 	}
 }
 
-// Outcome reports how a dynamic block's terminating branch was predicted.
-type Outcome struct {
-	// Mispredicted is true when direction or target was wrong.
-	Mispredicted bool
-	// BTBMiss is true when the branch had no BTB entry (front-end
+// Outcome reports how a dynamic block's terminating branch was predicted,
+// packed into one byte so a whole trace's outcomes form a compact column.
+type Outcome uint8
+
+// Outcome bits.
+const (
+	// OutcomeMispredicted is set when direction or target was wrong.
+	OutcomeMispredicted Outcome = 1 << iota
+	// OutcomeBTBMiss is set when the branch had no BTB entry (front-end
 	// re-steer at decode, cheaper than a full misprediction).
-	BTBMiss bool
+	OutcomeBTBMiss
+)
+
+// Mispredicted reports whether direction or target was wrong.
+func (o Outcome) Mispredicted() bool { return o&OutcomeMispredicted != 0 }
+
+// BTBMiss reports whether the branch had no BTB entry.
+func (o Outcome) BTBMiss() bool { return o&OutcomeBTBMiss != 0 }
+
+// Outcomes runs one predictor, built from cfg, over a whole block stream
+// and returns each block's outcome plus the final statistics. Outcomes
+// depend only on the blocks and cfg, so one pass serves every timing run
+// of the same trace, whatever its replacement policy or cache geometry.
+func Outcomes(cfg Config, blocks []trace.Block) ([]Outcome, Stats) {
+	p := New(cfg)
+	out := make([]Outcome, len(blocks))
+	for i, b := range blocks {
+		out[i] = p.Process(b)
+	}
+	return out, p.Stats
 }
 
 // Process predicts and trains on a dynamic block's terminating branch,
@@ -219,7 +259,7 @@ type Outcome struct {
 func (p *Predictor) Process(b trace.Block) Outcome {
 	p.Stats.Instructions += uint64(b.NumInst)
 	if !b.Kind.IsBranch() {
-		return Outcome{}
+		return 0
 	}
 	p.Stats.Branches++
 	var out Outcome
@@ -229,7 +269,7 @@ func (p *Predictor) Process(b trace.Block) Outcome {
 	btbTarget, btbHit := p.btb.lookup(pc)
 	if !btbHit {
 		p.Stats.BTBMisses++
-		out.BTBMiss = true
+		out |= OutcomeBTBMiss
 	}
 
 	switch b.Kind {
@@ -243,16 +283,16 @@ func (p *Predictor) Process(b trace.Block) Outcome {
 		p.hist = p.hist<<1 | boolBit(b.Taken)
 		if pred != b.Taken {
 			p.Stats.DirMispredicts++
-			out.Mispredicted = true
+			out |= OutcomeMispredicted
 		} else if b.Taken && btbHit && btbTarget != b.Target {
 			p.Stats.TargetMispredicts++
-			out.Mispredicted = true
+			out |= OutcomeMispredicted
 		}
 	case trace.BranchRet:
 		target := p.rasPop()
 		if target != b.Target && b.Target != 0 {
 			p.Stats.TargetMispredicts++
-			out.Mispredicted = true
+			out |= OutcomeMispredicted
 		}
 	case trace.BranchCall:
 		p.rasPush(b.FallThrough())
@@ -261,14 +301,14 @@ func (p *Predictor) Process(b trace.Block) Outcome {
 		idx := int(mix64(pc) & uint64(len(p.ibtb)-1))
 		if p.ibtb[idx] != b.Target {
 			p.Stats.TargetMispredicts++
-			out.Mispredicted = true
+			out |= OutcomeMispredicted
 		}
 		p.ibtb[idx] = b.Target
 		p.hist = p.hist<<1 | 1
 	case trace.BranchUncond:
 		if btbHit && btbTarget != b.Target {
 			p.Stats.TargetMispredicts++
-			out.Mispredicted = true
+			out |= OutcomeMispredicted
 		}
 	}
 	if b.Taken {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uopsim/internal/trace"
+	"uopsim/internal/workload"
 )
 
 func condBlock(pc uint64, taken bool, target uint64) trace.Block {
@@ -38,7 +39,7 @@ func TestLearnsAlwaysTaken(t *testing.T) {
 	var lateMiss int
 	for i := 0; i < 1000; i++ {
 		out := p.Process(condBlock(pc, true, tgt))
-		if i > 100 && out.Mispredicted {
+		if i > 100 && out.Mispredicted() {
 			lateMiss++
 		}
 	}
@@ -58,7 +59,7 @@ func TestLearnsAlternatingWithHistory(t *testing.T) {
 		out := p.Process(condBlock(pc, taken, tgt))
 		if i > 2000 {
 			total++
-			if out.Mispredicted {
+			if out.Mispredicted() {
 				lateMiss++
 			}
 		}
@@ -80,7 +81,7 @@ func TestRandomBranchMispredictsOften(t *testing.T) {
 		out := p.Process(condBlock(pc, taken, tgt))
 		if i > 500 {
 			total++
-			if out.Mispredicted {
+			if out.Mispredicted() {
 				miss++
 			}
 		}
@@ -101,7 +102,7 @@ func TestRASPredictsReturns(t *testing.T) {
 			Kind: trace.BranchCall, Taken: true, Target: 0x5000, BranchPC: callPC})
 		out := p.Process(trace.Block{Addr: 0x5000, Bytes: 12, NumInst: 3, NumUops: 3,
 			Kind: trace.BranchRet, Taken: true, Target: retAddr, BranchPC: retPC})
-		if i > 0 && out.Mispredicted {
+		if i > 0 && out.Mispredicted() {
 			missLate++
 		}
 	}
@@ -114,7 +115,7 @@ func TestRASUnderflowSafe(t *testing.T) {
 	p := New(DefaultConfig())
 	out := p.Process(trace.Block{Addr: 0x5000, Bytes: 12, NumInst: 3, NumUops: 3,
 		Kind: trace.BranchRet, Taken: true, Target: 0x1234, BranchPC: 0x5008})
-	if !out.Mispredicted {
+	if !out.Mispredicted() {
 		t.Error("return with empty RAS should mispredict")
 	}
 }
@@ -126,7 +127,7 @@ func TestIBTBLearnsStableTarget(t *testing.T) {
 	var missLate int
 	for i := 0; i < 50; i++ {
 		out := p.Process(blk)
-		if i > 2 && out.Mispredicted {
+		if i > 2 && out.Mispredicted() {
 			missLate++
 		}
 	}
@@ -138,11 +139,11 @@ func TestIBTBLearnsStableTarget(t *testing.T) {
 func TestBTBMissOnFirstSight(t *testing.T) {
 	p := New(DefaultConfig())
 	out := p.Process(condBlock(0x100c, true, 0x2000))
-	if !out.BTBMiss {
+	if !out.BTBMiss() {
 		t.Error("first sight of a branch should miss the BTB")
 	}
 	out = p.Process(condBlock(0x100c, true, 0x2000))
-	if out.BTBMiss {
+	if out.BTBMiss() {
 		t.Error("second sight should hit the BTB")
 	}
 	if p.Stats.BTBMisses != 1 {
@@ -204,5 +205,61 @@ func TestFoldHistory(t *testing.T) {
 	}
 	if foldHistory(0x1FF, 9, 8) != (0xFF ^ 0x1) {
 		t.Errorf("fold = %#x", foldHistory(0x1FF, 9, 8))
+	}
+}
+
+// TestOutcomesMatchProcess: the one-pass outcome column carries exactly the
+// bits step-by-step Process returns, and ends with the same Stats, under
+// both predictor configurations.
+func TestOutcomesMatchProcess(t *testing.T) {
+	spec, err := workload.Get("wordpress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := workload.GenerateSpec(spec, 20000, 0)
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "zen4": Zen4Config()} {
+		outs, st := Outcomes(cfg, blocks)
+		if len(outs) != len(blocks) {
+			t.Fatalf("%s: %d outcomes for %d blocks", name, len(outs), len(blocks))
+		}
+		p := New(cfg)
+		var miss, btb int
+		for i, b := range blocks {
+			want := p.Process(b)
+			if outs[i] != want {
+				t.Fatalf("%s: block %d outcome %02b, Process gave %02b", name, i, outs[i], want)
+			}
+			if want.Mispredicted() {
+				miss++
+			}
+			if want.BTBMiss() {
+				btb++
+			}
+		}
+		if st != p.Stats {
+			t.Errorf("%s: Stats = %+v, Process gave %+v", name, st, p.Stats)
+		}
+		if miss == 0 || btb == 0 {
+			t.Errorf("%s: trace exercises neither bit (%d mispredicts, %d BTB misses)", name, miss, btb)
+		}
+	}
+}
+
+// TestConfigSig: the fingerprint separates the two shipped configurations
+// and any single changed field, including the history lengths.
+func TestConfigSig(t *testing.T) {
+	d := DefaultConfig()
+	if d.Sig() != DefaultConfig().Sig() {
+		t.Error("Sig is not deterministic")
+	}
+	if d.Sig() == Zen4Config().Sig() {
+		t.Error("default and Zen4 share a Sig")
+	}
+	h := DefaultConfig()
+	h.HistLens = []int{8, 32, 129}
+	b := DefaultConfig()
+	b.BTBWays = 8
+	if h.Sig() == d.Sig() || b.Sig() == d.Sig() {
+		t.Error("a changed field kept the Sig")
 	}
 }

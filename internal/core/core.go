@@ -117,7 +117,17 @@ func NewPolicy(name string, prof *profiles.Profile, ucCfg uopcache.Config, fcfg 
 // TraceFor generates an application's dynamic block trace and its PW lookup
 // sequence (the paper's STEPS 1–2).
 func TraceFor(app string, numBlocks, input int) ([]trace.Block, []trace.PW, error) {
-	return TraceForCached(app, numBlocks, input, nil)
+	tr, err := TraceForCached(app, numBlocks, input, nil)
+	return tr.Blocks, tr.PWs, err
+}
+
+// Trace is an application's dynamic block trace with the output of the one
+// formation pass over it: the PW lookup sequence and the per-block emit
+// index (see trace.FormPWsIndexed).
+type Trace struct {
+	Blocks  []trace.Block
+	PWs     []trace.PW
+	EmitEnd []int32
 }
 
 // traceKeyVersion invalidates cached block traces whenever the generator's
@@ -145,15 +155,16 @@ func TraceKey(spec workload.Spec, numBlocks, input int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TraceForCached is TraceFor backed by a content-addressed artifact store:
-// on a hit the block trace is read back instead of regenerated (and PW
-// formation still runs, so the lookup sequence is identical either way). A
-// nil store, a miss, or a corrupt entry all degrade to plain generation —
-// the store can make a run faster, never different or broken.
-func TraceForCached(app string, numBlocks, input int, store *artifact.Store) ([]trace.Block, []trace.PW, error) {
+// TraceForCached is TraceFor backed by a content-addressed artifact store,
+// returning the emit index too: on a hit the block trace is read back
+// instead of regenerated (and PW formation still runs, so the lookup
+// sequence is identical either way). A nil store, a miss, or a corrupt
+// entry all degrade to plain generation — the store can make a run faster,
+// never different or broken.
+func TraceForCached(app string, numBlocks, input int, store *artifact.Store) (Trace, error) {
 	spec, err := workload.Get(app)
 	if err != nil {
-		return nil, nil, err
+		return Trace{}, err
 	}
 	var blocks []trace.Block
 	if store != nil {
@@ -174,7 +185,8 @@ func TraceForCached(app string, numBlocks, input int, store *artifact.Store) ([]
 	} else {
 		blocks = workload.GenerateSpec(spec, numBlocks, input)
 	}
-	return blocks, trace.FormPWs(blocks, 0), nil
+	pws, emitEnd := trace.FormPWsIndexed(blocks, 0)
+	return Trace{Blocks: blocks, PWs: pws, EmitEnd: emitEnd}, nil
 }
 
 // Telemetry bundles the optional observability attachments threaded into a
@@ -334,14 +346,35 @@ type TimingResult struct {
 // Offline SchedulePolicy instances are bound to the cache's lookup counter
 // so their plans stay aligned with the PW stream.
 func RunTiming(blocks []trace.Block, cfg Config, pol uopcache.Policy) TimingResult {
-	return RunTimingObserved(blocks, cfg, pol, Telemetry{})
+	return RunTimingWith(blocks, cfg, pol, TimingOptions{})
 }
 
-// RunTimingObserved is RunTiming with observability attached: the cache's
-// uopcache_* counters and decision events stream into tel during the run,
-// and the frontend_* aggregates are published at the end.
-func RunTimingObserved(blocks []trace.Block, cfg Config, pol uopcache.Policy, tel Telemetry) TimingResult {
-	bp := branch.New(cfg.Branch)
+// ResolveColumns returns the timing columns a run of blocks under bcfg
+// reads: the attached columns when they were built over exactly this many
+// blocks under bcfg, or fresh ones (one formation pass and one predictor
+// pass) when nothing is attached. An attachment built for another trace or
+// predictor configuration is a caller bug and panics — a timing run must
+// never silently replay outcomes that describe something else.
+func ResolveColumns(blocks []trace.Block, bcfg branch.Config, attached *frontend.Columns) *frontend.Columns {
+	if attached == nil {
+		pws, emitEnd := trace.FormPWsIndexed(blocks, 0)
+		return frontend.NewColumns(blocks, pws, emitEnd, bcfg)
+	}
+	if attached.Blocks() != len(blocks) || attached.BranchSig() != bcfg.Sig() {
+		panic(fmt.Sprintf("core: timing columns do not match the run (%d blocks, want %d; branch sig %x, want %x)",
+			attached.Blocks(), len(blocks), attached.BranchSig(), bcfg.Sig()))
+	}
+	return attached
+}
+
+// RunTimingWith is RunTiming with attachments: observability (the cache's
+// uopcache_* counters and decision events stream into opts.Telemetry during
+// the run, and the frontend_* aggregates are published at the end) and the
+// shared timing columns (opts.Columns, resolved by ResolveColumns). The
+// policy is already built, so opts.Prepared, Plans and Workers are unused.
+func RunTimingWith(blocks []trace.Block, cfg Config, pol uopcache.Policy, opts TimingOptions) TimingResult {
+	cols := ResolveColumns(blocks, cfg.Branch, opts.Columns)
+	tel := opts.Telemetry
 	base := policy.Unwrap(pol)
 	pol = tel.instrument(pol)
 	uc := uopcache.New(cfg.UopCache, pol)
@@ -349,17 +382,12 @@ func RunTimingObserved(blocks []trace.Block, cfg Config, pol uopcache.Policy, te
 	if sp, ok := base.(*offline.SchedulePolicy); ok {
 		sp.BindPos(func() int { return int(uc.Stats.Lookups) })
 	}
-	return runTiming(blocks, cfg, bp, uc, tel)
-}
-
-func runTiming(blocks []trace.Block, cfg Config, bp *branch.Predictor, uc *uopcache.Cache, tel Telemetry) TimingResult {
 	var l1i *cache.Cache
 	if !cfg.Frontend.PerfectICache {
 		l1i = cache.New(cfg.L1I)
 	}
 	be := backend.New(cfg.Backend)
-	f := frontend.New(cfg.Frontend, bp, uc, l1i, be)
-	res := f.RunBlocks(blocks)
+	res := frontend.New(cfg.Frontend, uc, l1i, be).Run(cols)
 	if tel.Metrics != nil {
 		res.PublishMetrics(tel.Metrics)
 	}
@@ -379,13 +407,15 @@ func RunTimingByNameObserved(name string, blocks []trace.Block, pws []trace.PW, 
 	return RunTimingByNameWith(name, blocks, pws, cfg, prof, TimingOptions{Telemetry: tel})
 }
 
-// TimingOptions bundles a by-name timing run's optional attachments:
-// observability plus the shared prepared trace and keep-plan cache consumed
-// by the offline schedule policies and profile collection. Prepared follows
-// BehaviorOptions.Prepared: it must match the run, and nil prepares one
-// when a policy needs it.
+// TimingOptions bundles a timing run's optional attachments: observability,
+// the shared timing columns, and the shared prepared trace and keep-plan
+// cache consumed by the offline schedule policies and profile collection.
+// Prepared follows BehaviorOptions.Prepared: it must match the run, and nil
+// prepares one when a policy needs it. Columns follows the same rule (see
+// ResolveColumns); nil builds them per run.
 type TimingOptions struct {
 	Telemetry Telemetry
+	Columns   *frontend.Columns
 	Prepared  *trace.PreparedTrace
 	Plans     offline.PlanCache
 	// Workers bounds the offline plan solver's fan-out (0 = GOMAXPROCS).
@@ -393,7 +423,13 @@ type TimingOptions struct {
 }
 
 // RunTimingByNameWith is RunTimingByName with the full attachment set.
+// Attached columns must also have been formed into pws itself (when pws is
+// given), since plan-driven policies index their plans by its positions.
 func RunTimingByNameWith(name string, blocks []trace.Block, pws []trace.PW, cfg Config, prof *profiles.Profile, opts TimingOptions) (TimingResult, error) {
+	if opts.Columns != nil && pws != nil && !trace.SameSequence(opts.Columns.PWs(), pws) {
+		panic(fmt.Sprintf("core: timing columns were formed into another PW sequence (%d windows, want %d)",
+			len(opts.Columns.PWs()), len(pws)))
+	}
 	// Online policies replay the block trace itself; only plan-driven
 	// policies and profile collection read the prepared lookup sequence.
 	prepared := func() *trace.PreparedTrace { return uopcache.Resolve(cfg.UopCache, pws, opts.Prepared) }
@@ -418,7 +454,7 @@ func RunTimingByNameWith(name string, blocks []trace.Block, pws []trace.PW, cfg 
 		}
 		pol = p
 	}
-	return RunTimingObserved(blocks, cfg, pol, opts.Telemetry), nil
+	return RunTimingWith(blocks, cfg, pol, opts), nil
 }
 
 // MissReduction is the paper's headline metric: the relative reduction in

@@ -168,18 +168,18 @@ func TestTraceForCachedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, coldPWs, err := core.TraceForCached("postgres", 3000, 2, store)
+	cold, err := core.TraceForCached("postgres", 3000, 2, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, warmPWs, err := core.TraceForCached("postgres", 3000, 2, store)
+	warm, err := core.TraceForCached("postgres", 3000, 2, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plainBlocks, cold) || !reflect.DeepEqual(plainBlocks, warm) {
+	if !reflect.DeepEqual(plainBlocks, cold.Blocks) || !reflect.DeepEqual(plainBlocks, warm.Blocks) {
 		t.Fatal("cached blocks differ from generated blocks")
 	}
-	if !reflect.DeepEqual(plainPWs, coldPWs) || !reflect.DeepEqual(plainPWs, warmPWs) {
+	if !reflect.DeepEqual(plainPWs, cold.PWs) || !reflect.DeepEqual(plainPWs, warm.PWs) {
 		t.Fatal("cached windows differ from generated windows")
 	}
 	st := store.Stats()["trace"]

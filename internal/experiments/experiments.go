@@ -37,8 +37,10 @@ import (
 	"time"
 
 	"uopsim/internal/artifact"
+	"uopsim/internal/branch"
 	"uopsim/internal/core"
 	"uopsim/internal/faultinject"
+	"uopsim/internal/frontend"
 	"uopsim/internal/inspect"
 	"uopsim/internal/offline"
 	"uopsim/internal/parallel"
@@ -200,7 +202,8 @@ func (c *Context) ctx() context.Context {
 // callers of the same key block on the flight's done channel.
 type ctxCaches struct {
 	mu     sync.Mutex
-	traces map[string]*flight[tracePair]
+	traces map[string]*flight[core.Trace]
+	cols   map[string]*flight[*frontend.Columns]
 	preps  map[string]*flight[*trace.PreparedTrace]
 	profs  map[string]*flight[*profiles.Profile]
 	bases  map[string]*flight[uopcache.Stats]
@@ -368,17 +371,13 @@ func once[T any](c *Context, m map[string]*flight[T], key string, compute func()
 
 func newCaches() *ctxCaches {
 	return &ctxCaches{
-		traces: make(map[string]*flight[tracePair]),
+		traces: make(map[string]*flight[core.Trace]),
+		cols:   make(map[string]*flight[*frontend.Columns]),
 		preps:  make(map[string]*flight[*trace.PreparedTrace]),
 		profs:  make(map[string]*flight[*profiles.Profile]),
 		bases:  make(map[string]*flight[uopcache.Stats]),
 		times:  make(map[string]*flight[core.TimingResult]),
 	}
-}
-
-type tracePair struct {
-	blocks []trace.Block
-	pws    []trace.PW
 }
 
 // NewContext builds a context with the paper's default configuration.
@@ -694,10 +693,12 @@ func (c *Context) AppList() []string {
 	return workload.Names()
 }
 
-// traceFor and collectProfile are indirection seams so the singleflight
-// tests can count how often the underlying computation actually runs.
+// traceFor, newColumns and collectProfile are indirection seams so the
+// singleflight tests can count how often the underlying computation
+// actually runs.
 var (
 	traceFor       = core.TraceForCached
+	newColumns     = frontend.NewColumns
 	collectProfile = profiles.CollectWith
 )
 
@@ -706,12 +707,46 @@ var (
 // store attached, the block trace is read from (or written to) the on-disk
 // cache instead of being regenerated.
 func (c *Context) Trace(app string, input int) ([]trace.Block, []trace.PW, error) {
+	tr, err := c.formed(app, input)
+	return tr.Blocks, tr.PWs, err
+}
+
+// formed is Trace with the formation pass's emit index.
+func (c *Context) formed(app string, input int) (core.Trace, error) {
 	key := fmt.Sprintf("%s/%d/%d", app, input, c.Blocks)
-	tp, err := once(c, c.caches.traces, key, func() (tracePair, error) {
-		blocks, pws, err := traceFor(app, c.Blocks, input, c.Artifacts)
-		return tracePair{blocks: blocks, pws: pws}, err
+	return once(c, c.caches.traces, key, func() (core.Trace, error) {
+		return traceFor(app, c.Blocks, input, c.Artifacts)
 	})
-	return tp.blocks, tp.pws, err
+}
+
+// Columns returns (cached) the timing columns of an app/input's trace under
+// a branch predictor configuration: the shared PW sequence and emit index
+// plus one predictor pass. Every timing run of the trace under bcfg —
+// whatever its policy, cache geometry or frontend switches — reads them, so
+// formation and prediction run once per (app, input, branch config).
+func (c *Context) Columns(app string, input int, bcfg branch.Config) (*frontend.Columns, error) {
+	key := fmt.Sprintf("%s/%d/%d/%x", app, input, c.Blocks, bcfg.Sig())
+	return once(c, c.caches.cols, key, func() (*frontend.Columns, error) {
+		tr, err := c.formed(app, input)
+		if err != nil {
+			return nil, err
+		}
+		return newColumns(tr.Blocks, tr.PWs, tr.EmitEnd, bcfg), nil
+	})
+}
+
+// timing runs the timing model for pol on app's input-0 trace under cfg,
+// with the app's shared timing columns for cfg.Branch attached.
+func (c *Context) timing(app string, cfg core.Config, pol uopcache.Policy) (core.TimingResult, error) {
+	blocks, _, err := c.Trace(app, 0)
+	if err != nil {
+		return core.TimingResult{}, err
+	}
+	cols, err := c.Columns(app, 0, cfg.Branch)
+	if err != nil {
+		return core.TimingResult{}, err
+	}
+	return core.RunTimingWith(blocks, cfg, pol, core.TimingOptions{Telemetry: c.Telemetry, Columns: cols}), nil
 }
 
 // Prepared returns (cached) the shared columnar prepared trace for an

@@ -21,10 +21,6 @@ func SensInclusion(ctx *Context) (*Table, error) {
 		Inval    uint64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		blocks, _, err := ctx.Trace(app, 0)
-		if err != nil {
-			return row{}, err
-		}
 		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 		if err != nil {
 			return row{}, err
@@ -32,12 +28,18 @@ func SensInclusion(ctx *Context) (*Table, error) {
 		speedup := func(nonInclusive bool) (float64, uint64, error) {
 			cfg := ctx.Cfg
 			cfg.Frontend.NonInclusive = nonInclusive
-			base := core.RunTimingObserved(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+			base, err := ctx.timing(app, cfg, policy.NewLRU())
+			if err != nil {
+				return 0, 0, err
+			}
 			pol, err := core.NewPolicy("furbys", prof, cfg.UopCache, policy.FURBYSConfig{})
 			if err != nil {
 				return 0, 0, err
 			}
-			fu := core.RunTimingObserved(blocks, cfg, pol, ctx.Telemetry)
+			fu, err := ctx.timing(app, cfg, pol)
+			if err != nil {
+				return 0, 0, err
+			}
 			return fu.Frontend.IPC()/base.Frontend.IPC() - 1, fu.Frontend.UopCache.Invalidations, nil
 		}
 		inc, _, err := speedup(false)

@@ -24,7 +24,11 @@ func (c *Context) timingByName(app, name string) (core.TimingResult, error) {
 				return core.TimingResult{}, err
 			}
 		}
-		topts := core.TimingOptions{Telemetry: c.Telemetry, Plans: c.plans(), Workers: c.Workers}
+		cols, err := c.Columns(app, 0, c.Cfg.Branch)
+		if err != nil {
+			return core.TimingResult{}, err
+		}
+		topts := core.TimingOptions{Telemetry: c.Telemetry, Columns: cols, Plans: c.plans(), Workers: c.Workers}
 		if pt, perr := c.Prepared(app, 0); perr == nil {
 			topts.Prepared = pt
 		}
@@ -48,16 +52,18 @@ func Fig2PerfectStructures(ctx *Context) (*Table, error) {
 		{"btb", func(c *core.Config) { c.Frontend.PerfectBTB = true }},
 	}
 	rows, err := appRows(ctx, func(app string) ([]float64, error) {
-		blocks, _, err := ctx.Trace(app, 0)
+		base, err := ctx.timing(app, ctx.Cfg, policy.NewLRU())
 		if err != nil {
 			return nil, err
 		}
-		base := core.RunTimingObserved(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		gains := make([]float64, len(variants))
 		for i, v := range variants {
 			cfg := ctx.Cfg
 			v.apply(&cfg)
-			res := core.RunTimingObserved(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+			res, err := ctx.timing(app, cfg, policy.NewLRU())
+			if err != nil {
+				return nil, err
+			}
 			gains[i] = res.PPW/base.PPW - 1
 		}
 		return gains, nil
@@ -137,10 +143,6 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 	t := &Table{Name: "fig11", Title: "IPC speedup over LRU (Fig. 11)",
 		Columns: append(append([]string{"application"}, names...), "infinite uop cache")}
 	rows, err := appRows(ctx, func(app string) ([]float64, error) {
-		blocks, _, err := ctx.Trace(app, 0)
-		if err != nil {
-			return nil, err
-		}
 		base, err := ctx.timingByName(app, "lru")
 		if err != nil {
 			return nil, err
@@ -156,7 +158,10 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 		// Infinite (perfect) micro-op cache bound.
 		cfg := ctx.Cfg
 		cfg.Frontend.PerfectUopCache = true
-		inf := core.RunTimingObserved(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+		inf, err := ctx.timing(app, cfg, policy.NewLRU())
+		if err != nil {
+			return nil, err
+		}
 		speedups = append(speedups, inf.Frontend.IPC()/base.Frontend.IPC()-1)
 		return speedups, nil
 	})
@@ -217,7 +222,7 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 		}
 		var missRates, ipcs, reds []float64
 		for _, app := range ctx.AppList() {
-			blocks, pws, err := ctx.Trace(app, 0)
+			_, pws, err := ctx.Trace(app, 0)
 			if err != nil {
 				return point{}, err
 			}
@@ -251,7 +256,10 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			tim := core.RunTimingObserved(blocks, cfg, pol2, ctx.Telemetry)
+			tim, err := ctx.timing(app, cfg, pol2)
+			if err != nil {
+				return point{}, err
+			}
 			ipcs = append(ipcs, tim.Frontend.IPC())
 		}
 		return point{MissRate: mean(missRates), IPC: mean(ipcs), Red: mean(reds)}, nil
@@ -274,17 +282,13 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 		Columns: []string{"configuration", "decoder", "icache", "uop cache", "others", "total vs no-uop-cache"}}
 	labels := []string{"no uop cache", "lru", "furbys"}
 	results, err := cells(ctx, labels, func(i int) (core.TimingResult, error) {
-		blocks, _, err := ctx.Trace(app, 0)
-		if err != nil {
-			return core.TimingResult{}, err
-		}
 		switch i {
 		case 0:
 			noCfg := ctx.Cfg
 			noCfg.Frontend.DisableUopCache = true
-			return core.RunTimingObserved(blocks, noCfg, policy.NewLRU(), ctx.Telemetry), nil
+			return ctx.timing(app, noCfg, policy.NewLRU())
 		case 1:
-			return core.RunTimingObserved(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry), nil
+			return ctx.timing(app, ctx.Cfg, policy.NewLRU())
 		default:
 			prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 			if err != nil {
@@ -294,7 +298,7 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 			if err != nil {
 				return core.TimingResult{}, err
 			}
-			return core.RunTimingObserved(blocks, ctx.Cfg, fpol, ctx.Telemetry), nil
+			return ctx.timing(app, ctx.Cfg, fpol)
 		}
 	})
 	if err != nil {
@@ -324,11 +328,10 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 		TotFrac float64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		blocks, _, err := ctx.Trace(app, 0)
+		lru, err := ctx.timing(app, ctx.Cfg, policy.NewLRU())
 		if err != nil {
 			return row{}, err
 		}
-		lru := core.RunTimingObserved(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 		if err != nil {
 			return row{}, err
@@ -337,7 +340,10 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		fu := core.RunTimingObserved(blocks, ctx.Cfg, fpol, ctx.Telemetry)
+		fu, err := ctx.timing(app, ctx.Cfg, fpol)
+		if err != nil {
+			return row{}, err
+		}
 		dIc := lru.Power.ICache - fu.Power.ICache
 		dUop := lru.Power.UopCache - fu.Power.UopCache
 		dDec := lru.Power.Decoder - fu.Power.Decoder

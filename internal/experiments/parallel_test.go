@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"uopsim/internal/artifact"
+	"uopsim/internal/branch"
+	"uopsim/internal/core"
+	"uopsim/internal/frontend"
 	"uopsim/internal/parallel"
 	"uopsim/internal/profiles"
 	"uopsim/internal/trace"
@@ -111,7 +116,7 @@ func TestProfileSingleflight(t *testing.T) {
 func TestTraceSingleflight(t *testing.T) {
 	old := traceFor
 	var calls atomic.Int64
-	traceFor = func(app string, numBlocks, input int, store *artifact.Store) ([]trace.Block, []trace.PW, error) {
+	traceFor = func(app string, numBlocks, input int, store *artifact.Store) (core.Trace, error) {
 		calls.Add(1)
 		return old(app, numBlocks, input, store)
 	}
@@ -134,6 +139,55 @@ func TestTraceSingleflight(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("TraceFor ran %d times, want exactly 1", got)
+	}
+}
+
+// TestTimingColumnsOncePerApp: the timing figures — Table II, the
+// perfect-structure variants of Fig. 2, Fig. 12's five geometries and
+// Fig. 14's LRU/FURBYS pair — form the app's trace once per input and run
+// the predictor pass once per branch configuration, however many timing
+// runs read them.
+func TestTimingColumnsOncePerApp(t *testing.T) {
+	oldTrace, oldCols := traceFor, newColumns
+	var mu sync.Mutex
+	forms := map[string]int{}
+	passes := map[uint64]int{}
+	traceFor = func(app string, numBlocks, input int, store *artifact.Store) (core.Trace, error) {
+		mu.Lock()
+		forms[fmt.Sprintf("%s/%d", app, input)]++
+		mu.Unlock()
+		return oldTrace(app, numBlocks, input, store)
+	}
+	newColumns = func(blocks []trace.Block, pws []trace.PW, emitEnd []int32, bcfg branch.Config) *frontend.Columns {
+		mu.Lock()
+		passes[bcfg.Sig()]++
+		mu.Unlock()
+		return oldCols(blocks, pws, emitEnd, bcfg)
+	}
+	defer func() { traceFor, newColumns = oldTrace, oldCols }()
+
+	ctx := NewContext(3000)
+	ctx.Apps = []string{"kafka"}
+	ctx.Workers = 2
+	for _, r := range RunMany(ctx, []string{"tab2", "fig2", "fig12", "fig14"}, nil) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+	}
+	if len(forms) != 1 || forms["kafka/0"] != 1 {
+		t.Errorf("formation passes per (app, input) = %v, want kafka/0 once", forms)
+	}
+	if len(passes) != 1 || passes[ctx.Cfg.Branch.Sig()] != 1 {
+		t.Errorf("predictor passes per branch config = %v, want one under the default config", passes)
+	}
+	// The columns share the context's PW sequence instead of a second
+	// formed copy.
+	cols, err := ctx.Columns("kafka", 0, ctx.Cfg.Branch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, pws, _ := ctx.Trace("kafka", 0); !trace.SameSequence(cols.PWs(), pws) {
+		t.Error("timing columns hold a different PW slice than the context's trace")
 	}
 }
 

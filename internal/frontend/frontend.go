@@ -8,9 +8,16 @@
 // miss (the asynchronous lookup/insertion the paper studies). The frontend
 // feeds the backend drain model to produce IPC, and counts every event the
 // power model charges for.
+//
+// Prediction and window formation do not depend on the replacement policy
+// or the cache geometry, so they are not simulated per run: Columns carry
+// the formed windows, which block completes each, and every block's
+// predictor outcome, computed once per trace and branch configuration.
 package frontend
 
 import (
+	"fmt"
+
 	"uopsim/internal/backend"
 	"uopsim/internal/branch"
 	"uopsim/internal/cache"
@@ -130,44 +137,79 @@ func (r Result) PublishMetrics(reg *telemetry.Registry) {
 	reg.Gauge("frontend_uop_miss_rate").Set(r.UopCache.UopMissRate())
 }
 
-// Frontend is the timing simulator. Construct with New and drive with
-// RunBlocks.
+// Columns are a timing run's policy-independent inputs, computed once per
+// block trace and branch configuration and shared by every timing run over
+// them, whatever its replacement policy, cache geometry or perfect-
+// structure switches: the formed PW sequence, the per-block emit index
+// (trace.FormPWsIndexed), and one predictor pass's per-block outcomes and
+// final statistics. Columns are immutable after NewColumns; concurrent runs
+// need no locking.
+type Columns struct {
+	pws      []trace.PW
+	emitEnd  []int32
+	outcomes []branch.Outcome
+	branch   branch.Stats
+	sig      uint64
+}
+
+// NewColumns runs the predictor under bcfg over blocks and bundles its
+// outcomes with the blocks' formed windows pws and emit index emitEnd,
+// both from trace.FormPWsIndexed over the same blocks. pws is shared, not
+// copied.
+func NewColumns(blocks []trace.Block, pws []trace.PW, emitEnd []int32, bcfg branch.Config) *Columns {
+	if len(emitEnd) != len(blocks) {
+		panic(fmt.Sprintf("frontend: emit index covers %d blocks, trace has %d", len(emitEnd), len(blocks)))
+	}
+	out, st := branch.Outcomes(bcfg, blocks)
+	return &Columns{pws: pws, emitEnd: emitEnd, outcomes: out, branch: st, sig: bcfg.Sig()}
+}
+
+// Blocks returns the number of blocks the columns describe.
+func (c *Columns) Blocks() int { return len(c.emitEnd) }
+
+// PWs returns the formed lookup sequence (read-only; shared).
+func (c *Columns) PWs() []trace.PW { return c.pws }
+
+// BranchSig returns the branch.Config fingerprint the outcomes were
+// computed under.
+func (c *Columns) BranchSig() uint64 { return c.sig }
+
+// Frontend is the timing simulator. Construct with New and drive with Run.
 type Frontend struct {
 	cfg Config
-	bp  *branch.Predictor
 	uc  *uopcache.Cache
 	l1i *cache.Cache
 	be  *backend.Backend
 
-	former    *trace.Former
 	inUopPath bool
 	cycle     uint64
 	events    Events
 
-	// pendingInserts are micro-op cache insertions in the decode pipe,
-	// keyed by start address, due at a cycle.
-	pending    map[uint64]trace.PW
-	pendingDue []pendingInsert
+	// ring is the micro-op cache insertion queue: a fixed-capacity FIFO
+	// of windows in the decode pipe, n of them starting at ring[head],
+	// each due DecodeLatency cycles after its miss. servePW drains what is
+	// due before it schedules, advances the cycle by at least 1 and
+	// schedules at most one insertion, so the DecodeLatency+1 slots never
+	// overflow and the coalescing scan stays that short.
+	ring []pendingInsert
+	head int
+	n    int
 
 	// carried misprediction/BTB penalties to charge to the next window.
 	pendingPenalty int
 }
 
 type pendingInsert struct {
-	start uint64
-	due   uint64
+	pw  trace.PW
+	due uint64
 }
 
-// New builds a frontend wired to its prediction, cache and backend
-// substrate. l1i may be nil only when cfg.PerfectICache is set.
-func New(cfg Config, bp *branch.Predictor, uc *uopcache.Cache, l1i *cache.Cache, be *backend.Backend) *Frontend {
+// New builds a frontend wired to its cache and backend substrate. l1i may
+// be nil only when cfg.PerfectICache is set.
+func New(cfg Config, uc *uopcache.Cache, l1i *cache.Cache, be *backend.Backend) *Frontend {
 	f := &Frontend{
-		cfg: cfg, bp: bp, uc: uc, l1i: l1i, be: be,
-		former:  trace.NewFormer(0),
-		pending: make(map[uint64]trace.PW),
-		// Bounded by windows in decode flight; preallocated so the serve
-		// path's append never grows it in steady state.
-		pendingDue: make([]pendingInsert, 0, 64),
+		cfg: cfg, uc: uc, l1i: l1i, be: be,
+		ring: make([]pendingInsert, cfg.DecodeLatency+1),
 	}
 	if l1i != nil && !cfg.NonInclusive {
 		l1i.OnEvict = func(lineAddr uint64) { uc.InvalidateLine(lineAddr) }
@@ -175,44 +217,44 @@ func New(cfg Config, bp *branch.Predictor, uc *uopcache.Cache, l1i *cache.Cache,
 	return f
 }
 
-// RunBlocks drives the whole dynamic block stream and returns the result.
-func (f *Frontend) RunBlocks(blocks []trace.Block) Result {
-	for _, b := range blocks {
-		f.step(b)
+// Run drives a whole trace's columns through the model and returns the
+// result. Block i's windows are served in formation order, then its branch
+// outcome's resteer penalty is carried to the next window served.
+func (f *Frontend) Run(cols *Columns) Result {
+	pws := cols.pws
+	served := 0
+	for i, end := range cols.emitEnd {
+		for ; served < int(end); served++ {
+			f.servePW(pws[served])
+		}
+		out := cols.outcomes[i]
+		if out.Mispredicted() && !f.cfg.PerfectBP {
+			f.pendingPenalty += f.cfg.MispredictPenalty
+			f.events.MispredictFlushes++
+		} else if out.BTBMiss() && !f.cfg.PerfectBTB {
+			f.pendingPenalty += f.cfg.BTBMissPenalty
+		}
 	}
-	f.former.Flush(func(p trace.PW) { f.servePW(p) })
+	// The end-of-trace flush.
+	for ; served < len(pws); served++ {
+		f.servePW(pws[served])
+	}
 	f.drainInserts(^uint64(0))
 	f.cycle += uint64(f.be.Flush())
 
 	var res Result
 	res.Events = f.events
+	// Every block consults the predictor; every branch the BTB.
+	res.Events.BPLookups = uint64(cols.Blocks())
+	res.Events.BTBLookups = cols.branch.Branches
 	res.Events.Cycles = f.cycle
-	res.Branch = f.bp.Stats
+	res.Branch = cols.branch
 	res.UopCache = f.uc.Stats
-	res.Instructions = f.bp.Stats.Instructions
+	res.Instructions = cols.branch.Instructions
 	res.Uops = f.events.UopCacheHitUops + f.events.DecodedUops
 	res.Cycles = f.cycle
-	// The backend stats live inside the backend; copy them out.
-	res.Backend = f.backendStats()
+	res.Backend = f.be.StatsCopy()
 	return res
-}
-
-func (f *Frontend) backendStats() backend.Stats { return f.be.StatsCopy() }
-
-// step processes one dynamic block: prediction, PW formation, delivery.
-func (f *Frontend) step(b trace.Block) {
-	f.events.BPLookups++
-	if b.Kind.IsBranch() {
-		f.events.BTBLookups++
-	}
-	out := f.bp.Process(b)
-	f.former.Add(b, func(p trace.PW) { f.servePW(p) })
-	if out.Mispredicted && !f.cfg.PerfectBP {
-		f.pendingPenalty += f.cfg.MispredictPenalty
-		f.events.MispredictFlushes++
-	} else if out.BTBMiss && !f.cfg.PerfectBTB {
-		f.pendingPenalty += f.cfg.BTBMissPenalty
-	}
 }
 
 // servePW delivers one prediction window to the micro-op queue, charging
@@ -301,39 +343,30 @@ func (f *Frontend) probeUopCache(p trace.PW) uopcache.ProbeResult {
 
 // scheduleInsert queues the window's insertion decode-latency cycles ahead,
 // coalescing with an in-flight window of the same start (keeping the
-// larger).
+// larger window and the first one's due cycle).
 func (f *Frontend) scheduleInsert(p trace.PW) {
-	if cur, ok := f.pending[p.Start]; ok {
-		f.uc.NoteCoalescedMiss(p)
-		if p.NumUops > cur.NumUops {
-			f.pending[p.Start] = p
+	for k := 0; k < f.n; k++ {
+		cur := &f.ring[(f.head+k)%len(f.ring)]
+		if cur.pw.Start == p.Start {
+			f.uc.NoteCoalescedMiss(p)
+			if p.NumUops > cur.pw.NumUops {
+				cur.pw = p
+			}
+			return
 		}
-		return
 	}
-	f.pending[p.Start] = p
-	//simlint:ignore hotpath pendingDue is preallocated in New and drained with copy-down, so steady-state appends reuse capacity
-	f.pendingDue = append(f.pendingDue, pendingInsert{start: p.Start, due: f.cycle + uint64(f.cfg.DecodeLatency)})
+	f.ring[(f.head+f.n)%len(f.ring)] = pendingInsert{pw: p, due: f.cycle + uint64(f.cfg.DecodeLatency)}
+	f.n++
 }
 
-// drainInserts completes insertions due by the given cycle.
+// drainInserts completes insertions due by the given cycle, oldest first.
 func (f *Frontend) drainInserts(now uint64) {
-	n := 0
-	for n < len(f.pendingDue) && f.pendingDue[n].due <= now {
-		pi := f.pendingDue[n]
-		n++
-		p, ok := f.pending[pi.start]
-		if !ok {
-			continue
-		}
-		delete(f.pending, pi.start)
+	for f.n > 0 && f.ring[f.head].due <= now {
+		p := f.ring[f.head].pw
+		f.head = (f.head + 1) % len(f.ring)
+		f.n--
 		before := f.uc.Stats.EntriesWritten
 		f.uc.Insert(p)
 		f.events.UopCacheWrites += f.uc.Stats.EntriesWritten - before
-	}
-	if n > 0 {
-		// Copy down instead of re-slicing so the backing array's front
-		// capacity is reused and scheduleInsert's append stops allocating.
-		m := copy(f.pendingDue, f.pendingDue[n:])
-		f.pendingDue = f.pendingDue[:m]
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"uopsim/internal/backend"
-	"uopsim/internal/branch"
 	"uopsim/internal/cache"
 	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
@@ -14,11 +13,10 @@ import (
 )
 
 func buildWith(cfg frontend.Config) (*frontend.Frontend, *uopcache.Cache) {
-	bp := branch.New(branch.DefaultConfig())
 	uc := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
 	be := backend.New(backend.DefaultConfig())
-	return frontend.New(cfg, bp, uc, l1i, be), uc
+	return frontend.New(cfg, uc, l1i, be), uc
 }
 
 func TestDisableUopCacheDecodesEverything(t *testing.T) {
@@ -27,7 +25,7 @@ func TestDisableUopCacheDecodesEverything(t *testing.T) {
 	cfg := frontend.DefaultConfig()
 	cfg.DisableUopCache = true
 	f, uc := buildWith(cfg)
-	res := f.RunBlocks(blocks)
+	res := runBlocks(f, blocks)
 	if res.Events.UopCacheHitUops != 0 {
 		t.Error("disabled uop cache served uops")
 	}
@@ -46,11 +44,11 @@ func TestDisableSlowerThanEnable(t *testing.T) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)
 	on, _ := buildWith(frontend.DefaultConfig())
-	resOn := on.RunBlocks(blocks)
+	resOn := runBlocks(on, blocks)
 	cfg := frontend.DefaultConfig()
 	cfg.DisableUopCache = true
 	off, _ := buildWith(cfg)
-	resOff := off.RunBlocks(blocks)
+	resOff := runBlocks(off, blocks)
 	if resOff.IPC() >= resOn.IPC() {
 		t.Errorf("no-uop-cache IPC %.3f >= with-cache %.3f", resOff.IPC(), resOn.IPC())
 	}
@@ -62,7 +60,7 @@ func TestNonInclusiveNoInvalidations(t *testing.T) {
 	cfg := frontend.DefaultConfig()
 	cfg.NonInclusive = true
 	f, uc := buildWith(cfg)
-	f.RunBlocks(blocks)
+	runBlocks(f, blocks)
 	if uc.Stats.Invalidations != 0 {
 		t.Errorf("non-inclusive frontend invalidated %d windows", uc.Stats.Invalidations)
 	}
@@ -70,7 +68,7 @@ func TestNonInclusiveNoInvalidations(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	f, _ := buildWith(frontend.DefaultConfig())
-	res := f.RunBlocks(nil)
+	res := runBlocks(f, nil)
 	if res.Instructions != 0 || res.Uops != 0 {
 		t.Errorf("empty trace produced work: %+v", res)
 	}
@@ -81,7 +79,7 @@ func TestEmptyTrace(t *testing.T) {
 
 func TestSingleBlock(t *testing.T) {
 	f, _ := buildWith(frontend.DefaultConfig())
-	res := f.RunBlocks([]trace.Block{{Addr: 0x1000, Bytes: 16, NumInst: 4, NumUops: 6}})
+	res := runBlocks(f, []trace.Block{{Addr: 0x1000, Bytes: 16, NumInst: 4, NumUops: 6}})
 	if res.Instructions != 4 || res.Uops != 6 {
 		t.Errorf("result = instructions %d uops %d", res.Instructions, res.Uops)
 	}
@@ -103,11 +101,11 @@ func TestUopBandwidthMatters(t *testing.T) {
 	narrow := frontend.DefaultConfig()
 	narrow.UopDeliver = 4
 	fN, _ := buildWith(narrow)
-	resN := fN.RunBlocks(blocks)
+	resN := runBlocks(fN, blocks)
 	wide := frontend.DefaultConfig()
 	wide.UopDeliver = 16
 	fW, _ := buildWith(wide)
-	resW := fW.RunBlocks(blocks)
+	resW := runBlocks(fW, blocks)
 	if resW.IPC() <= resN.IPC() {
 		t.Errorf("wide delivery IPC %.3f <= narrow %.3f", resW.IPC(), resN.IPC())
 	}
@@ -121,11 +119,11 @@ func TestMispredictPenaltyMatters(t *testing.T) {
 	cheap := frontend.DefaultConfig()
 	cheap.MispredictPenalty = 2
 	fC, _ := buildWith(cheap)
-	resC := fC.RunBlocks(blocks)
+	resC := runBlocks(fC, blocks)
 	dear := frontend.DefaultConfig()
 	dear.MispredictPenalty = 30
 	fD, _ := buildWith(dear)
-	resD := fD.RunBlocks(blocks)
+	resD := runBlocks(fD, blocks)
 	if resD.IPC() >= resC.IPC() {
 		t.Errorf("30-cycle penalty IPC %.3f >= 2-cycle %.3f", resD.IPC(), resC.IPC())
 	}

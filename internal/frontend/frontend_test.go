@@ -14,11 +14,16 @@ import (
 )
 
 func build(cfg frontend.Config) *frontend.Frontend {
-	bp := branch.New(branch.DefaultConfig())
 	uc := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
 	be := backend.New(backend.DefaultConfig())
-	return frontend.New(cfg, bp, uc, l1i, be)
+	return frontend.New(cfg, uc, l1i, be)
+}
+
+// runBlocks runs f over blocks' timing columns under the default predictor.
+func runBlocks(f *frontend.Frontend, blocks []trace.Block) frontend.Result {
+	pws, emitEnd := trace.FormPWsIndexed(blocks, 0)
+	return f.Run(frontend.NewColumns(blocks, pws, emitEnd, branch.DefaultConfig()))
 }
 
 // loopTrace builds a tight loop of nBlocks repeated iters times.
@@ -42,7 +47,7 @@ func loopTrace(nBlocks, iters int) []trace.Block {
 
 func TestLoopIPCPositive(t *testing.T) {
 	f := build(frontend.DefaultConfig())
-	res := f.RunBlocks(loopTrace(4, 500))
+	res := runBlocks(f, loopTrace(4, 500))
 	if res.Cycles == 0 || res.Instructions == 0 {
 		t.Fatalf("empty result: %+v", res)
 	}
@@ -63,12 +68,12 @@ func TestPerfectUopCacheFasterAndColder(t *testing.T) {
 	blocks := workload.GenerateSpec(spec, 30000, 0)
 
 	real := build(frontend.DefaultConfig())
-	resReal := real.RunBlocks(blocks)
+	resReal := runBlocks(real, blocks)
 
 	pcfg := frontend.DefaultConfig()
 	pcfg.PerfectUopCache = true
 	perfect := build(pcfg)
-	resPerfect := perfect.RunBlocks(blocks)
+	resPerfect := runBlocks(perfect, blocks)
 
 	if resPerfect.Events.DecodedUops != 0 {
 		t.Errorf("perfect uop cache decoded %d uops", resPerfect.Events.DecodedUops)
@@ -87,11 +92,11 @@ func TestPerfectBPRemovesFlushes(t *testing.T) {
 	cfg := frontend.DefaultConfig()
 	cfg.PerfectBP = true
 	f := build(cfg)
-	res := f.RunBlocks(blocks)
+	res := runBlocks(f, blocks)
 	if res.Events.MispredictFlushes != 0 {
 		t.Errorf("perfect BP flushed %d times", res.Events.MispredictFlushes)
 	}
-	base := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	base := runBlocks(build(frontend.DefaultConfig()), blocks)
 	if base.Events.MispredictFlushes == 0 {
 		t.Error("real BP never mispredicted wordpress — implausible")
 	}
@@ -105,7 +110,7 @@ func TestPerfectICacheNoMisses(t *testing.T) {
 	blocks := workload.GenerateSpec(spec, 20000, 0)
 	cfg := frontend.DefaultConfig()
 	cfg.PerfectICache = true
-	res := build(cfg).RunBlocks(blocks)
+	res := runBlocks(build(cfg), blocks)
 	if res.Events.ICacheMisses != 0 {
 		t.Errorf("perfect icache missed %d times", res.Events.ICacheMisses)
 	}
@@ -114,7 +119,7 @@ func TestPerfectICacheNoMisses(t *testing.T) {
 func TestEventAccounting(t *testing.T) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)
-	res := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	res := runBlocks(build(frontend.DefaultConfig()), blocks)
 	e := res.Events
 	if e.UopCacheLookups == 0 || e.BPLookups == 0 || e.BTBLookups == 0 {
 		t.Fatalf("missing events: %+v", e)
@@ -138,7 +143,7 @@ func TestEventAccounting(t *testing.T) {
 func TestInclusionInTimingPath(t *testing.T) {
 	spec, _ := workload.Get("clang") // big footprint: L1i will evict
 	blocks := workload.GenerateSpec(spec, 40000, 0)
-	res := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	res := runBlocks(build(frontend.DefaultConfig()), blocks)
 	if res.UopCache.Invalidations == 0 {
 		t.Error("no inclusive invalidations despite icache pressure")
 	}
@@ -147,8 +152,8 @@ func TestInclusionInTimingPath(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	spec, _ := workload.Get("python")
 	blocks := workload.GenerateSpec(spec, 10000, 0)
-	r1 := build(frontend.DefaultConfig()).RunBlocks(blocks)
-	r2 := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	r1 := runBlocks(build(frontend.DefaultConfig()), blocks)
+	r2 := runBlocks(build(frontend.DefaultConfig()), blocks)
 	if r1.Cycles != r2.Cycles || r1.Events != r2.Events {
 		t.Error("timing model not deterministic")
 	}
@@ -159,8 +164,8 @@ func TestMPKIOrdering(t *testing.T) {
 	// timing model (monotonicity over a wide gap).
 	lo, _ := workload.Get("postgres")  // 0.41
 	hi, _ := workload.Get("wordpress") // 5.64
-	resLo := build(frontend.DefaultConfig()).RunBlocks(workload.GenerateSpec(lo, 40000, 0))
-	resHi := build(frontend.DefaultConfig()).RunBlocks(workload.GenerateSpec(hi, 40000, 0))
+	resLo := runBlocks(build(frontend.DefaultConfig()), workload.GenerateSpec(lo, 40000, 0))
+	resHi := runBlocks(build(frontend.DefaultConfig()), workload.GenerateSpec(hi, 40000, 0))
 	if resLo.Branch.MPKI() >= resHi.Branch.MPKI() {
 		t.Errorf("MPKI ordering violated: postgres %.2f >= wordpress %.2f",
 			resLo.Branch.MPKI(), resHi.Branch.MPKI())

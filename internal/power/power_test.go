@@ -9,6 +9,7 @@ import (
 	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
 	"uopsim/internal/power"
+	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
 )
@@ -76,11 +77,11 @@ func runClang(t *testing.T, mutate func(*frontend.Config)) frontend.Result {
 	if mutate != nil {
 		mutate(&fcfg)
 	}
-	bp := branch.New(branch.DefaultConfig())
 	uc := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
 	be := backend.New(backend.DefaultConfig())
-	return frontend.New(fcfg, bp, uc, l1i, be).RunBlocks(blocks)
+	pws, emitEnd := trace.FormPWsIndexed(blocks, 0)
+	return frontend.New(fcfg, uc, l1i, be).Run(frontend.NewColumns(blocks, pws, emitEnd, branch.DefaultConfig()))
 }
 
 // TestFig13Calibration: in the no-uop-cache baseline the decoder and icache

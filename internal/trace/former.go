@@ -57,38 +57,52 @@ type instSlice struct {
 	uops  uint16
 }
 
-// splitInsts deterministically apportions a block's bytes and micro-ops
-// across its instructions: the first remainder instructions receive one extra
-// unit. This approximates instruction boundaries without modelling real x86
-// encodings; all that matters downstream is where line boundaries fall and
-// how many micro-ops each side of a cut carries.
-func splitInsts(b Block) []instSlice {
-	n := int(b.NumInst)
-	if n == 0 {
-		return nil
+// instSplit walks a block's instructions in place, deterministically
+// apportioning the block's bytes and micro-ops across them: the first
+// remainder instructions receive one extra unit. This approximates
+// instruction boundaries without modelling real x86 encodings; all that
+// matters downstream is where line boundaries fall and how many micro-ops
+// each side of a cut carries.
+type instSplit struct {
+	addr           uint64
+	i, n           int
+	bb, br, ub, ur int
+}
+
+func newInstSplit(b Block) instSplit {
+	s := instSplit{addr: b.Addr, n: int(b.NumInst)}
+	if s.n > 0 {
+		s.bb, s.br = int(b.Bytes)/s.n, int(b.Bytes)%s.n
+		s.ub, s.ur = int(b.NumUops)/s.n, int(b.NumUops)%s.n
 	}
-	insts := make([]instSlice, n)
-	bb, br := int(b.Bytes)/n, int(b.Bytes)%n
-	ub, ur := int(b.NumUops)/n, int(b.NumUops)%n
-	addr := b.Addr
-	for i := 0; i < n; i++ {
-		by := bb
-		if i < br {
-			by++
-		}
-		uo := ub
-		if i < ur {
-			uo++
-		}
-		insts[i] = instSlice{addr: addr, bytes: uint16(by), uops: uint16(uo)}
-		addr += uint64(by)
+	return s
+}
+
+// next returns the next instruction, or ok=false once the block is done.
+func (s *instSplit) next() (in instSlice, ok bool) {
+	if s.i >= s.n {
+		return instSlice{}, false
 	}
-	return insts
+	by, uo := s.bb, s.ub
+	if s.i < s.br {
+		by++
+	}
+	if s.i < s.ur {
+		uo++
+	}
+	in = instSlice{addr: s.addr, bytes: uint16(by), uops: uint16(uo)}
+	s.addr += uint64(by)
+	s.i++
+	return in, true
 }
 
 // Add consumes one dynamic block, emitting any completed windows.
 func (f *Former) Add(b Block, emit func(PW)) {
-	for _, in := range splitInsts(b) {
+	for s := newInstSplit(b); ; {
+		in, ok := s.next()
+		if !ok {
+			break
+		}
 		if !f.curActive {
 			f.begin(in.addr)
 		}
@@ -185,10 +199,36 @@ func FormPWs(blocks []Block, maxUops int) []PW {
 // FormPWsWith runs a configured Former (e.g. with CLASP cross-line windows)
 // over an entire block trace.
 func FormPWsWith(blocks []Block, f *Former) []PW {
-	var pws []PW
+	return formPWs(blocks, f, nil)
+}
+
+// FormPWsIndexed is FormPWs that also records the per-block emit index:
+// emitEnd[i] is the number of windows complete once block i has been
+// added, so block i completes pws[emitEnd[i-1]:emitEnd[i]], and the windows
+// after emitEnd[len(blocks)-1] are the end-of-trace flush. The index lets a
+// consumer that walks the block stream (the timing frontend) serve the
+// formed windows at the right block without running a Former of its own.
+func FormPWsIndexed(blocks []Block, maxUops int) (pws []PW, emitEnd []int32) {
+	emitEnd = make([]int32, len(blocks))
+	return formPWs(blocks, NewFormer(maxUops), emitEnd), emitEnd
+}
+
+// formPWs runs f over blocks, recording the emit index into emitEnd when it
+// is non-nil. The window slice and a fresh Former's line arena are sized
+// up front for the catalog's shapes (0.88–1.05 windows per block, at most
+// 1.44 spanned lines per block), so formation does not spend its time
+// regrowing them.
+func formPWs(blocks []Block, f *Former, emitEnd []int32) []PW {
+	pws := make([]PW, 0, len(blocks)+len(blocks)/8)
+	if f.arena == nil {
+		f.arena = make([]uint64, 0, len(blocks)*3/2)
+	}
 	emit := func(p PW) { pws = append(pws, p) }
-	for _, b := range blocks {
+	for i, b := range blocks {
 		f.Add(b, emit)
+		if emitEnd != nil {
+			emitEnd[i] = int32(len(pws))
+		}
 	}
 	f.Flush(emit)
 	return pws

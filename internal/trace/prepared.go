@@ -5,7 +5,7 @@ package trace
 // walks the same sequence: policy replays, offline plan solves, figure
 // cells and parallel workers. It precomputes the per-window attributes the
 // hot paths would otherwise rederive on every lookup of every replay —
-// the set index, the storage footprint, the entry count — plus a CSR
+// the set index and the storage footprint — plus a CSR
 // occurrence index (all positions of each distinct start address) that
 // replaces the per-replay map-of-slices the offline oracle used to build.
 //
@@ -16,7 +16,6 @@ type PreparedTrace struct {
 	pws  []PW
 	set  []int32
 	foot []int32
-	ents []int32
 	// sig fingerprints the geometry the columns were computed under;
 	// the geometry owner checks it before any replay reads the columns
 	// and rejects a mismatch rather than trusting stale attributes.
@@ -34,16 +33,15 @@ type PreparedTrace struct {
 }
 
 // Prepare builds the columnar view of pws. sig identifies the geometry;
-// setIndex, footprint and entries are the geometry owner's per-window
-// attribute functions (internal/uopcache supplies them from its Config so
-// the formulas stay defined in one place).
-func Prepare(pws []PW, sig uint64, setIndex func(uint64) int, footprint, entries func(PW) int) *PreparedTrace {
+// setIndex and footprint are the geometry owner's per-window attribute
+// functions (internal/uopcache supplies them from its Config so the
+// formulas stay defined in one place).
+func Prepare(pws []PW, sig uint64, setIndex func(uint64) int, footprint func(PW) int) *PreparedTrace {
 	n := len(pws)
 	pt := &PreparedTrace{
 		pws:  pws,
 		set:  make([]int32, n),
 		foot: make([]int32, n),
-		ents: make([]int32, n),
 		sig:  sig,
 		// One allocation for both int32 columns of the CSR build.
 		keyID: make([]int32, n),
@@ -53,7 +51,6 @@ func Prepare(pws []PW, sig uint64, setIndex func(uint64) int, footprint, entries
 		p := &pws[i]
 		pt.set[i] = int32(setIndex(p.Start))
 		pt.foot[i] = int32(footprint(*p))
-		pt.ents[i] = int32(entries(*p))
 		id, ok := pt.idOf[p.Start]
 		if !ok {
 			id = int32(len(pt.keys))
@@ -109,12 +106,6 @@ func (pt *PreparedTrace) Set(i int) int { return int(pt.set[i]) }
 //simlint:hotpath
 func (pt *PreparedTrace) Footprint(i int) int { return int(pt.foot[i]) }
 
-// Entries returns the window's precomputed entry count (PW.Entries under
-// the geometry's UopsPerEntry).
-//
-//simlint:hotpath
-func (pt *PreparedTrace) Entries(i int) int { return int(pt.ents[i]) }
-
 // Sig returns the geometry fingerprint the columns were computed under.
 //
 //simlint:hotpath
@@ -152,9 +143,17 @@ func (pt *PreparedTrace) Occurrences(id int32) []int32 {
 // positional columns are trusted for a caller-supplied sequence.
 //
 //simlint:hotpath
-func (pt *PreparedTrace) SameSequence(pws []PW) bool {
-	if len(pws) != len(pt.pws) {
+func (pt *PreparedTrace) SameSequence(pws []PW) bool { return SameSequence(pt.pws, pws) }
+
+// SameSequence reports whether a and b are the same lookup sequence
+// object: same length and same backing array. Columns derived from one
+// sequence (prepared traces, timing columns) use it to reject a
+// caller-supplied sequence they were not built over.
+//
+//simlint:hotpath
+func SameSequence(a, b []PW) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	return len(pws) == 0 || &pws[0] == &pt.pws[0]
+	return len(a) == 0 || &a[0] == &b[0]
 }

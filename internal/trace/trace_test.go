@@ -165,6 +165,18 @@ func TestReadBlocksTruncated(t *testing.T) {
 	}
 }
 
+// splitInsts collects the instructions Former.Add walks for a block.
+func splitInsts(b Block) []instSlice {
+	var out []instSlice
+	for s := newInstSplit(b); ; {
+		in, ok := s.next()
+		if !ok {
+			return out
+		}
+		out = append(out, in)
+	}
+}
+
 func TestSplitInstsConserves(t *testing.T) {
 	f := func(addr uint64, bytes, ninst, nuops uint16) bool {
 		ninst = ninst%20 + 1
@@ -195,6 +207,31 @@ func TestSplitInstsConserves(t *testing.T) {
 func TestSplitInstsEmpty(t *testing.T) {
 	if got := splitInsts(Block{NumInst: 0, Bytes: 10}); got != nil {
 		t.Errorf("splitInsts of 0-inst block = %v, want nil", got)
+	}
+}
+
+// TestFormerAddZeroAllocs: with arena capacity reserved, Former.Add walks a
+// block's instructions in place and allocates nothing, across line cuts,
+// micro-op-cap cuts and taken-branch terminations.
+func TestFormerAddZeroAllocs(t *testing.T) {
+	blocks := []Block{
+		{Addr: 0x1000, Bytes: 100, NumInst: 10, NumUops: 14, Kind: BranchCond},
+		{Addr: 0x1064, Bytes: 40, NumInst: 9, NumUops: 40, Kind: BranchCond, Taken: true, Target: 0x1000, BranchPC: 0x1088},
+	}
+	f := NewFormer(0)
+	f.arena = make([]uint64, 0, 1<<14)
+	windows := 0
+	emit := func(PW) { windows++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, b := range blocks {
+			f.Add(b, emit)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Former.Add allocated %.1f times per run, want 0", allocs)
+	}
+	if windows < 3*101 {
+		t.Errorf("formed %d windows in 101 runs, want at least 3 per run", windows)
 	}
 }
 

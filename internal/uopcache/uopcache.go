@@ -507,14 +507,13 @@ func (c Config) Sig() uint64 {
 }
 
 // Prepare builds the shared columnar view of a PW lookup sequence for this
-// geometry: precomputed set indices, storage footprints, entry counts and
-// the occurrence index every offline replay needs. Build it once per
-// (trace, geometry) and hand it to every replay of the same sequence.
+// geometry: precomputed set indices, storage footprints and the occurrence
+// index every offline replay needs. Build it once per (trace, geometry) and
+// hand it to every replay of the same sequence.
 func Prepare(cfg Config, pws []trace.PW) *trace.PreparedTrace {
 	return trace.Prepare(pws, cfg.Sig(),
 		cfg.SetIndex,
 		func(p trace.PW) int { return cfg.Footprint(int(p.NumUops)) },
-		func(p trace.PW) int { return p.Entries(cfg.UopsPerEntry) },
 	)
 }
 
