@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"uopsim/internal/analysis"
+	"uopsim/internal/cache"
 	"uopsim/internal/core"
 	"uopsim/internal/experiments"
 	"uopsim/internal/frontend"
@@ -103,11 +104,11 @@ func BenchmarkAllFiguresParallel(b *testing.B) { benchAllFigures(b, 0) }
 
 // --- Micro-benchmarks of the core building blocks ---
 
-func benchTracePWs(b *testing.B, app string, blocks int) []trace.PW {
-	b.Helper()
+func benchTracePWs(tb testing.TB, app string, blocks int) []trace.PW {
+	tb.Helper()
 	spec, err := workload.Get(app)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return trace.FormPWs(workload.GenerateSpec(spec, blocks, 0), 0)
 }
@@ -168,15 +169,34 @@ func BenchmarkUopCacheFURBYS(b *testing.B) {
 // the per-slot metadata paths (dense stamp/RRPV/signature arrays instead of
 // per-key maps) that the slot-handle Policy interface exists for.
 func BenchmarkPolicyLookup(b *testing.B) {
-	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
-	pt := uopcache.Prepare(cfg, pws)
-	prof := profiles.CollectWith(pws, cfg, profiles.SourceFLACK, profiles.CollectOptions{Prepared: pt})
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
+	for _, tc := range onlinePolicies(cfg, pt) {
+		b.Run(tc.name, func(b *testing.B) {
+			c := uopcache.New(cfg, tc.mk())
+			beh := uopcache.NewBehavior(c, nil)
+			beh.RunPrepared(pt) // warm to steady state before timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				beh.RunPrepared(pt)
+			}
+		})
+	}
+}
+
+// onlinePolicy names a constructor for one of the nine online policies.
+type onlinePolicy struct {
+	name string
+	mk   func() uopcache.Policy
+}
+
+// onlinePolicies lists the nine online policies; FURBYS gets weights from a
+// FLACK profile of pt's windows under cfg.
+func onlinePolicies(cfg uopcache.Config, pt *trace.PreparedTrace) []onlinePolicy {
+	prof := profiles.CollectWith(pt.PWs(), cfg, profiles.SourceFLACK, profiles.CollectOptions{Prepared: pt})
 	weights := prof.Weights(cfg, 3)
-	cases := []struct {
-		name string
-		mk   func() uopcache.Policy
-	}{
+	return []onlinePolicy{
 		{"lru", func() uopcache.Policy { return policy.NewLRU() }},
 		{"random", func() uopcache.Policy { return policy.NewRandom(1) }},
 		{"srrip", func() uopcache.Policy { return policy.NewSRRIP() }},
@@ -189,18 +209,36 @@ func BenchmarkPolicyLookup(b *testing.B) {
 			return policy.NewFURBYS(policy.DefaultFURBYSConfig(), weights)
 		}},
 	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			c := uopcache.New(cfg, tc.mk())
-			beh := uopcache.NewBehavior(c, nil)
-			beh.RunPrepared(pt) // warm to steady state before timing
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				beh.RunPrepared(pt)
-			}
-		})
+}
+
+// inclusiveL1I is a 2 KiB L1i: small enough that kafka's code footprint
+// evicts lines constantly, so a replay through it keeps
+// Cache.InvalidateLine on the path.
+func inclusiveL1I() *cache.Cache {
+	return cache.New(cache.Config{SizeBytes: 2 << 10, LineBytes: 64, Ways: 8})
+}
+
+// BenchmarkInclusiveReplay is a steady-state LRU kafka replay with the
+// 2 KiB inclusive L1i attached: every L1i eviction invalidates the
+// micro-op cache windows in that line, so it times InvalidateLine's scan
+// next to the lookup and insertion paths BenchmarkPolicyLookup/lru times.
+func BenchmarkInclusiveReplay(b *testing.B) {
+	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
+	c := uopcache.New(cfg, policy.NewLRU())
+	beh := uopcache.NewBehavior(c, inclusiveL1I())
+	beh.RunPrepared(pt) // warm to steady state before timing
+	c.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		beh.RunPrepared(pt)
 	}
+	b.StopTimer()
+	if c.Stats.Invalidations == 0 {
+		b.Fatal("no invalidations: the L1i never evicted a line holding a resident window")
+	}
+	b.ReportMetric(float64(c.Stats.Invalidations)/float64(b.N), "invalidations/op")
 }
 
 func BenchmarkFLACKSolve(b *testing.B) {

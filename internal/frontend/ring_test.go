@@ -12,7 +12,7 @@ import (
 
 // thrashWindows returns n one-entry windows over 48 distinct starts that
 // share one icache line, so a 32-entry cache thrashes under LRU while the
-// L1i and the cache's line index stay warm.
+// L1i stays warm.
 func thrashWindows(n int) []trace.PW {
 	shared := []uint64{0x1000}
 	out := make([]trace.PW, n)
@@ -39,7 +39,7 @@ func TestServePWSteadyStateZeroAllocs(t *testing.T) {
 			f.servePW(p)
 		}
 	}
-	serve() // warm: fill every set and the line index
+	serve() // warm: fill every set and the L1i
 	f.uc.ResetStats()
 	if allocs := testing.AllocsPerRun(20, serve); allocs != 0 {
 		t.Errorf("warm servePW allocated %.1f times per run, want 0", allocs)

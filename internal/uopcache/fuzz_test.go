@@ -1,6 +1,6 @@
 // Differential fuzz test for the dense (set, slot) storage rewrite: a
 // byte-stream of cache operations is replayed against both the real Cache
-// (slot arrays + linear-probe index + line refcounts) and a deliberately
+// (slot arrays + linear-probe index + per-slot line storage) and a deliberately
 // naive map-based reference model that re-implements the documented
 // semantics with Go maps and an inline LRU. The two must agree on every
 // per-operation outcome, the exact eviction sequence (set, key, order), the

@@ -189,23 +189,12 @@ type ProbeResult struct {
 	MissUops int
 }
 
-// lineRef counts how many windows of one set live in an icache line; the
-// per-line slice is kept sorted by set so invalidation scans sets in
-// ascending order without re-sorting.
-type lineRef struct {
-	set  int32
-	refs int32
-}
-
 // Cache is the micro-op cache structure. It is not safe for concurrent use.
 type Cache struct {
 	cfg    Config
 	policy Policy
 	sets   []cset
-	// lineIndex maps an icache line address to the sets holding windows
-	// from that line (with refcounts), enabling inclusive invalidation.
-	lineIndex map[uint64][]lineRef
-	clock     uint64
+	clock  uint64
 
 	// Dense slot geometry: every set owns capSlots Resident slots and an
 	// idxLen-entry linear-probe index (power of two, <=50% loaded).
@@ -219,8 +208,8 @@ type Cache struct {
 	// viewBuf is the reusable victim-snapshot buffer handed to
 	// Policy.Victim; capacity capSlots, so refilling it never allocates.
 	viewBuf []Resident
-	// invSets / invVictims are scratch buffers for InvalidateLine.
-	invSets    []int32
+	// invVictims is InvalidateLine's per-set victim buffer; capacity
+	// capSlots, so refilling it never allocates.
 	invVictims []uint64
 
 	// sink receives the structured decision trace; m holds the live
@@ -330,8 +319,6 @@ func New(cfg Config, policy Policy) *Cache {
 		cfg:     cfg,
 		policy:  policy,
 		polName: policy.Name(),
-
-		lineIndex: make(map[uint64][]lineRef),
 	}
 	c.capSlots = c.setCapacity()
 	idxLen := 8
@@ -346,12 +333,19 @@ func New(cfg Config, policy Policy) *Cache {
 	slotB := make([]Resident, numSets*c.capSlots)
 	occB := make([]uint64, numSets*occWords)
 	idxB := make([]int32, numSets*idxLen)
+	// Two lines per slot: enough for a default or CLASP-2 window, so a
+	// slot's copy of pw.Lines never allocates.
+	lineB := make([]uint64, 2*numSets*c.capSlots)
 	c.sets = make([]cset, numSets)
 	for i := range c.sets {
 		s := &c.sets[i]
 		s.slots = slotB[i*c.capSlots : (i+1)*c.capSlots : (i+1)*c.capSlots]
 		s.occ = occB[i*occWords : (i+1)*occWords : (i+1)*occWords]
 		s.idx = idxB[i*idxLen : (i+1)*idxLen : (i+1)*idxLen]
+		for j := range s.slots {
+			k := 2 * (i*c.capSlots + j)
+			s.slots[j].Lines = lineB[k : k : k+2]
+		}
 		// Mark the bitmap tail beyond capSlots occupied so allocSlot can
 		// never hand out an out-of-range slot.
 		for b := c.capSlots; b < occWords*64; b++ {
@@ -359,6 +353,7 @@ func New(cfg Config, policy Policy) *Cache {
 		}
 	}
 	c.viewBuf = make([]Resident, 0, c.capSlots)
+	c.invVictims = make([]uint64, 0, c.capSlots)
 	policy.Bind(Geometry{Sets: numSets, SlotsPerSet: c.capSlots})
 	return c
 }
@@ -805,8 +800,8 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	}
 	slot := s.allocSlot()
 	r := &s.slots[slot]
-	// Reuse the evicted occupant's Lines backing array; it grows at most
-	// once per slot over the cache's lifetime.
+	// Reuse the slot's Lines storage (two lines, sized in New); only a
+	// window spanning more lines grows it, once per slot.
 	stored := r.Lines
 	if cap(stored) < len(lines) {
 		stored = make([]uint64, 0, len(lines))
@@ -827,9 +822,6 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	s.count++
 	c.totalResidents++
 	c.addIdx(s, pw.Start, slot)
-	for _, line := range lines {
-		c.lineAddRef(line, int32(set))
-	}
 	c.Stats.Insertions++
 	c.Stats.EntriesWritten += uint64(pw.Entries(c.cfg.UopsPerEntry))
 	if c.m != nil {
@@ -847,54 +839,8 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	return Inserted
 }
 
-// lineAddRef records one more window of set living in line.
-//
-//simlint:hotpath
-func (c *Cache) lineAddRef(line uint64, set int32) {
-	refs := c.lineIndex[line]
-	for i := range refs {
-		if refs[i].set == set {
-			refs[i].refs++
-			return
-		}
-		if refs[i].set > set {
-			// Insert before i, keeping the slice sorted by set.
-			//simlint:ignore hotpath grows only when a line first gains a set; steady state hits the refcount path above
-			refs = append(refs, lineRef{})
-			copy(refs[i+1:], refs[i:])
-			refs[i] = lineRef{set: set, refs: 1}
-			c.lineIndex[line] = refs
-			return
-		}
-	}
-	//simlint:ignore hotpath grows only when a line first gains a set; steady state hits the refcount path above
-	c.lineIndex[line] = append(refs, lineRef{set: set, refs: 1})
-}
-
-// lineDecRef drops one window of set from line, cleaning up empty entries.
-//
-//simlint:hotpath
-func (c *Cache) lineDecRef(line uint64, set int32) {
-	refs := c.lineIndex[line]
-	for i := range refs {
-		if refs[i].set == set {
-			refs[i].refs--
-			if refs[i].refs == 0 {
-				copy(refs[i:], refs[i+1:])
-				refs = refs[:len(refs)-1]
-				if len(refs) == 0 {
-					delete(c.lineIndex, line)
-				} else {
-					c.lineIndex[line] = refs
-				}
-			}
-			return
-		}
-	}
-}
-
-// removeResident releases the slot, updating set and line bookkeeping and
-// notifying the policy.
+// removeResident releases the slot, updating set bookkeeping and notifying
+// the policy.
 //
 //simlint:hotpath
 func (c *Cache) removeResident(set int, slot int32) {
@@ -906,9 +852,6 @@ func (c *Cache) removeResident(set int, slot int32) {
 	s.used -= r.EntriesUsed
 	s.count--
 	c.totalResidents--
-	for _, line := range r.Lines {
-		c.lineDecRef(line, int32(set))
-	}
 	// Keep the Lines backing array on the vacated slot for reuse; clear
 	// EntriesUsed so stale contents cannot be mistaken for a resident.
 	r.EntriesUsed = 0
@@ -921,31 +864,15 @@ func (c *Cache) removeResident(set int, slot int32) {
 
 // InvalidateLine evicts every window whose code lives in the given icache
 // line; the micro-op cache is inclusive in the L1i (Section II-A), so the
-// L1i eviction path calls this.
+// L1i eviction path calls this. L1i evictions are rare next to insertions,
+// so rather than index windows by line on every insertion, each call scans
+// the resident windows' lines, set by set in ascending order, and removes a
+// set's matches in key order.
 func (c *Cache) InvalidateLine(lineAddr uint64) int {
-	refs := c.lineIndex[lineAddr]
-	if len(refs) == 0 {
-		return 0
-	}
 	n := 0
-	// Snapshot the set list first (already ascending); removal mutates
-	// the index. The scratch buffers are reused across calls.
-	setsToScan := c.invSets
-	if cap(setsToScan) < len(refs) {
-		setsToScan = make([]int32, 0, len(refs)*2)
-	}
-	setsToScan = setsToScan[:0]
-	for _, ref := range refs {
-		setsToScan = append(setsToScan, ref.set)
-	}
-	c.invSets = setsToScan
-	victims := c.invVictims
-	if cap(victims) < c.capSlots {
-		victims = make([]uint64, 0, c.capSlots)
-	}
-	for _, set := range setsToScan {
+	for set := range c.sets {
 		s := &c.sets[set]
-		victims = victims[:0]
+		victims := c.invVictims[:0]
 		for i := range s.slots {
 			r := &s.slots[i]
 			if r.EntriesUsed == 0 {
@@ -969,18 +896,17 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 				}
 				if c.sink != nil {
 					c.sink.Emit(telemetry.Event{
-						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: int(set), Key: key,
+						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: set, Key: key,
 						VictimKey: key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
 						Policy: c.polName,
 					})
 				}
 			}
-			c.removeResident(int(set), slot)
+			c.removeResident(set, slot)
 			c.Stats.Invalidations++
 			n++
 		}
 	}
-	c.invVictims = victims
 	return n
 }
 

@@ -1,6 +1,7 @@
 package uopcache_test
 
 import (
+	"slices"
 	"testing"
 
 	"uopsim/internal/cache"
@@ -196,6 +197,47 @@ func TestInvalidateLine(t *testing.T) {
 	if n := c.InvalidateLine(0x9000); n != 0 {
 		t.Errorf("invalidate of absent line = %d", n)
 	}
+
+	// A two-line window leaves when its second line does, although no
+	// resident starts in that line.
+	c = newTiny()
+	cross := pw(0x1030, 8)
+	cross.Bytes = 32
+	cross.Lines = trace.SpanLines(cross.Start, cross.Bytes) // 0x1000, 0x1040
+	c.Insert(cross)
+	if n := c.InvalidateLine(0x1040); n != 1 {
+		t.Errorf("second-line invalidation removed %d windows, want 1", n)
+	}
+	if _, ok := c.ResidentFor(cross.Start); ok {
+		t.Error("two-line window survived the eviction of its second line")
+	}
+
+	// One line with windows in five sets: eviction runs in ascending set
+	// order, then ascending key within a set, whatever the insertion order.
+	cfg := uopcache.Config{Entries: 64, Ways: 4, UopsPerEntry: 8} // 16 sets
+	var log []string
+	c = uopcache.New(cfg, evictRecorder{Policy: policy.NewLRU(), log: &log})
+	spill := pw(0x0ff0, 8) // set 14, second line 0x1000
+	spill.Bytes = 32
+	spill.Lines = trace.SpanLines(spill.Start, spill.Bytes)
+	for _, w := range []trace.PW{
+		pw(0x1010, 4), pw(0x1008, 4), spill, pw(0x1000, 4),
+		pw(0x1030, 4), pw(0x1020, 4), pw(0x2000, 4),
+	} {
+		if out := c.Insert(w); out != uopcache.Inserted {
+			t.Fatalf("insert %#x = %v", w.Start, out)
+		}
+	}
+	if n := c.InvalidateLine(0x1000); n != 6 {
+		t.Errorf("invalidated %d windows, want 6", n)
+	}
+	want := []string{"e 0 1020", "e 1 1030", "e 2 1000", "e 2 1008", "e 3 1010", "e 14 ff0"}
+	if !slices.Equal(log, want) {
+		t.Errorf("eviction order %q, want %q", log, want)
+	}
+	if _, ok := c.ResidentFor(0x2000); !ok || c.ResidentCount() != 1 {
+		t.Errorf("0x2000 resident=%v, %d residents left; want only 0x2000", ok, c.ResidentCount())
+	}
 }
 
 // TestCapacityNeverExceeded is the core structural invariant: entries used
@@ -367,9 +409,9 @@ func TestBehaviorRun(t *testing.T) {
 
 // TestBehaviorSteadyStateZeroAllocs proves at run time that the replay hot
 // path allocates nothing: a warm Behavior replaying a miss-heavy prepared
-// trace, with insertions in flight, makes no allocation. Every window lives
-// in one shared icache line that always has residents, so the line index
-// never drops and re-adds an entry.
+// trace, with insertions in flight, makes no allocation. Every window shares
+// one icache line, which each insertion copies into the slot line storage
+// New sized.
 func TestBehaviorSteadyStateZeroAllocs(t *testing.T) {
 	cfg := uopcache.Config{Entries: 32, Ways: 4, UopsPerEntry: 8, InsertDelay: 3}
 	shared := []uint64{0x1000}
@@ -383,7 +425,7 @@ func TestBehaviorSteadyStateZeroAllocs(t *testing.T) {
 	pt := uopcache.Prepare(cfg, seq)
 	c := uopcache.New(cfg, policy.NewLRU())
 	b := uopcache.NewBehavior(c, nil)
-	b.RunPrepared(pt) // warm: fill every set and the line index
+	b.RunPrepared(pt) // warm: fill every set
 	c.ResetStats()
 	if allocs := testing.AllocsPerRun(20, func() { b.RunPrepared(pt) }); allocs != 0 {
 		t.Errorf("warm replay allocated %.1f times per run, want 0", allocs)
