@@ -251,6 +251,23 @@ func BenchmarkFLACKSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkFOOSolveConflict solves the OHR, VC no-fold and VC fold plans of
+// a wordpress trace, whose sets are the most contended in the catalog: at
+// 20k blocks 63 of its 64 sets overflow their ways, so nearly every
+// segment runs the full min-cost flow rather than the fitting-segment
+// shortcut that BenchmarkFLACKSolve's kafka trace takes for 37 of 64.
+func BenchmarkFOOSolveConflict(b *testing.B) {
+	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "wordpress", 20000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		offline.ComputeDecisionsPrepared(nil, pt, cfg, offline.CostOHR, false, 0, 1)
+		offline.ComputeDecisionsPrepared(nil, pt, cfg, offline.CostVC, false, 0, 1)
+		offline.ComputeDecisionsPrepared(nil, pt, cfg, offline.CostVC, true, 0, 1)
+	}
+}
+
 // BenchmarkFLACKSolveParallel is the same solve with the (set, segment)
 // fan-out enabled at GOMAXPROCS workers. Compare against BenchmarkFLACKSolve
 // for the solver speedup; on a single-core host the two should be within

@@ -10,6 +10,19 @@
 // instead of O(n) clears between augmenting paths. FOO solves thousands of
 // per-(set, segment) instances per experiment, so the arena turns the
 // solver's allocation profile from per-instance to per-worker.
+//
+// The heap's pop order up to the sink is a contract. FOO instances have
+// many optimal flows, and the augmenting path each epoch picks decides
+// which one the solver returns: popping equal-distance entries in another
+// order is still optimal but flips 53–1,616 keep decisions per app and
+// variant at 60k blocks, which changes every FOO/FLACK plan. The order is
+// that of container/heap (append + sift-up, swap root/last + sift-down,
+// strictly-less comparisons) over arcs in insertion order; the reference
+// solver in ref_test.go pins it edge for edge. What may change freely is
+// everything that cannot reach that order: the heap's constant factors
+// (entry layout, hole sifts) and the finishing loop that computes the
+// remaining distances after the sink settles, since exact distances do
+// not depend on the order nodes settle in.
 package flow
 
 import (
@@ -35,29 +48,34 @@ type Graph struct {
 }
 
 // NewGraph creates a graph with n nodes.
-func NewGraph(n int) *Graph { return NewGraphCap(n, 0) }
+func NewGraph(n int) *Graph {
+	g := &Graph{}
+	g.Reset(n, 0)
+	return g
+}
 
-// NewGraphCap creates a graph with n nodes, pre-sizing the arc storage for
-// edgeCap logical edges (2*edgeCap arcs) so builders that know their exact
-// edge count never grow a slice mid-build. The node index keeps two spare
-// head slots for SolveSupplies' super source and sink.
-func NewGraphCap(n, edgeCap int) *Graph {
-	head := make([]int32, n, n+2)
-	for i := range head {
-		head[i] = -1
+// Reset empties g to n isolated nodes with room for edgeCap logical edges
+// (2*edgeCap arcs) and two spare head slots for SolveSupplies' super source
+// and sink, reusing its storage when it is large enough: a builder that
+// solves many graphs in sequence keeps one Graph and allocates only when an
+// instance outgrows every earlier one.
+func (g *Graph) Reset(n, edgeCap int) {
+	g.n = n
+	if cap(g.headA) < n+2 {
+		g.headA = make([]int32, n, n+2)
 	}
-	g := &Graph{n: n, headA: head}
-	if edgeCap > 0 {
+	g.headA = g.headA[:n]
+	for i := range g.headA {
+		g.headA[i] = -1
+	}
+	if cap(g.to) < 2*edgeCap {
 		g.to = make([]int32, 0, 2*edgeCap)
 		g.next = make([]int32, 0, 2*edgeCap)
 		g.cap = make([]int64, 0, 2*edgeCap)
 		g.cost = make([]int64, 0, 2*edgeCap)
 	}
-	return g
+	g.to, g.next, g.cap, g.cost = g.to[:0], g.next[:0], g.cap[:0], g.cost[:0]
 }
-
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the logical edge count.
 func (g *Graph) NumEdges() int { return len(g.to) / 2 }
@@ -100,10 +118,14 @@ type Result struct {
 	Cost int64
 }
 
-// heap entry for Dijkstra.
+// pqItem is a Dijkstra heap entry: a node and its reduced distance. The
+// int32 key keeps an entry at 8 bytes; push panics rather than truncate a
+// distance that leaves it. A reduced distance is bounded by the longest
+// simple path's cost, about 27.5M on the offline package's FOO instances
+// (4096-request segments × cost scale 840 × 8 micro-ops per entry).
 type pqItem struct {
 	node int32
-	dist int64
+	key  int32
 }
 
 // Solver is a reusable min-cost-flow scratch arena. It carries no graph
@@ -121,6 +143,9 @@ type Solver struct {
 	visE  []uint32
 	epoch uint32
 	heap  []pqItem
+	// stack holds the finishing loop's nodes settled at the current
+	// minimum distance (see finish).
+	stack []int32
 }
 
 // NewSolver returns an empty solver arena; arrays grow on first use.
@@ -149,54 +174,75 @@ func (s *Solver) bump() {
 	}
 }
 
-// The manual binary heap below replicates container/heap's sift order
-// exactly (Push = append + sift-up; Pop = swap root/last, sift-down, return
-// last; strictly-less comparisons on dist). Equal-distance entries therefore
-// pop in the same order as the previous container/heap implementation, which
-// keeps augmenting-path selection — and thus every FOO/FLACK plan — byte
-// identical.
+// The binary heap below makes exactly the comparisons container/heap makes
+// (Push = append + sift-up; Pop = move the last entry to the root and sift
+// it down; strictly-less comparisons on the key), so equal-distance entries
+// pop in container/heap's order. The sifts move a hole instead of swapping
+// entries, which writes each displaced entry once.
 
-func (s *Solver) hpush(it pqItem) {
+// push queues node v at reduced distance d.
+func (s *Solver) push(v int, d int64) {
+	if d > math.MaxInt32 {
+		panic(fmt.Sprintf("flow: reduced distance %d at node %d overflows the int32 heap key (max %d); path costs are too large for this solver", d, v, math.MaxInt32))
+	}
+	it := pqItem{int32(v), int32(d)}
 	h := append(s.heap, it)
 	j := len(h) - 1
 	for j > 0 {
-		i := (j - 1) / 2
-		if h[j].dist >= h[i].dist {
+		i := (j - 1) >> 1
+		if it.key >= h[i].key {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = it
 	s.heap = h
 }
 
-func (s *Solver) hpop() pqItem {
+// pop removes and returns the heap's minimum entry.
+func (s *Solver) pop() pqItem {
 	h := s.heap
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
+	root := h[0]
+	if n > 0 {
+		siftDown(h[:n], 0, h[n])
+	}
+	s.heap = h[:n]
+	return root
+}
+
+// siftDown places x in heap h starting from the hole at index i, moving
+// the smaller child up while it is strictly less than x.
+func siftDown(h []pqItem, i int, x pqItem) {
+	n := len(h)
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+		if j2 := j + 1; j2 < n && h[j2].key < h[j].key {
 			j = j2
 		}
-		if h[j].dist >= h[i].dist {
+		if h[j].key >= x.key {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
-	it := h[n]
-	s.heap = h[:n]
-	return it
+	h[i] = x
 }
 
 // MinCostFlow routes up to maxFlow units from src to t in g at minimum
 // cost, stopping early when no augmenting path remains. Pass math.MaxInt64
 // to route the maximum flow. All edge costs must be non-negative.
+//
+// Each epoch runs Dijkstra on reduced costs in two loops. The first builds
+// the shortest-path tree in the contract order (see the package comment)
+// and stops once t settles: the augmenting path only reads the parent arcs
+// of nodes settled before t, which are final by then. finish then computes
+// the remaining nodes' exact distances, which become the next epoch's
+// potentials and so its pop order.
 func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 	if src == t {
 		return Result{}
@@ -206,46 +252,49 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 	clear(pot) // potentials start at zero each solve; valid since costs >= 0
 	dist, prevArc := s.dist, s.prevArc
 	distE, visE := s.distE, s.visE
+	head, next, to, capa, cost := g.headA, g.next, g.to, g.cap, g.cost
 	var res Result
 
 	for res.Flow < maxFlow {
-		// Dijkstra on reduced costs; stamps replace the per-iteration
-		// O(n) dist/visited reset.
+		// Stamps replace the per-iteration O(n) dist/visited reset.
 		s.bump()
 		ep := s.epoch
 		dist[src] = 0
 		distE[src] = ep
 		s.heap = s.heap[:0]
-		s.hpush(pqItem{int32(src), 0})
+		s.push(src, 0)
 		for len(s.heap) > 0 {
-			it := s.hpop()
-			u := int(it.node)
+			u := int(s.pop().node)
 			if visE[u] == ep {
 				continue
 			}
 			visE[u] = ep
-			for a := g.headA[u]; a != -1; a = g.next[a] {
-				if g.cap[a] <= 0 {
+			if u == t {
+				break
+			}
+			du, pu := dist[u], pot[u]
+			for a := head[u]; a != -1; a = next[a] {
+				if capa[a] <= 0 {
 					continue
 				}
-				v := int(g.to[a])
+				v := int(to[a])
 				if visE[v] == ep {
 					continue
 				}
-				rc := g.cost[a] + pot[u] - pot[v]
-				nd := dist[u] + rc
+				nd := du + cost[a] + pu - pot[v]
 				if distE[v] != ep || nd < dist[v] {
 					dist[v] = nd
 					distE[v] = ep
 					prevArc[v] = a
-					s.hpush(pqItem{int32(v), nd})
+					s.push(v, nd)
 				}
 			}
 		}
 		if visE[t] != ep {
 			break
 		}
-		for i := 0; i < g.n; i++ {
+		s.finish(g, t)
+		for i := range pot {
 			if distE[i] == ep {
 				pot[i] += dist[i]
 			}
@@ -254,21 +303,85 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 		push := maxFlow - res.Flow
 		for v := t; v != src; {
 			a := prevArc[v]
-			if g.cap[a] < push {
-				push = g.cap[a]
+			if capa[a] < push {
+				push = capa[a]
 			}
-			v = int(g.to[a^1])
+			v = int(to[a^1])
 		}
 		for v := t; v != src; {
 			a := prevArc[v]
-			g.cap[a] -= push
-			g.cap[a^1] += push
-			res.Cost += push * g.cost[a]
-			v = int(g.to[a^1])
+			capa[a] -= push
+			capa[a^1] += push
+			res.Cost += push * cost[a]
+			v = int(to[a^1])
 		}
 		res.Flow += push
 	}
 	return res
+}
+
+// finish completes the current epoch's Dijkstra after node t settled: it
+// gives every node still reachable its exact distance, without parent
+// arcs. Only the distances matter here, and they do not depend on settle
+// order, so a node reached over a zero-reduced-cost arc from a node at the
+// current minimum distance is settled at once through a stack instead of
+// going through the heap.
+func (s *Solver) finish(g *Graph, t int) {
+	pot, dist, distE, visE, ep := s.pot, s.dist, s.distE, s.visE, s.epoch
+	head, next, to, capa, cost := g.headA, g.next, g.to, g.cap, g.cost
+	// The entries left in the heap need no particular order any more, so
+	// drop the stale ones (settled nodes, superseded distances) instead of
+	// popping them, and re-heapify the live frontier.
+	h := s.heap[:0]
+	for _, it := range s.heap {
+		if v := it.node; visE[v] != ep && int64(it.key) == dist[v] {
+			h = append(h, it)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
+	}
+	s.heap = h
+	stack := append(s.stack[:0], int32(t))
+	for {
+		var u int
+		if n := len(stack) - 1; n >= 0 {
+			u = int(stack[n])
+			stack = stack[:n]
+		} else if len(s.heap) > 0 {
+			u = int(s.pop().node)
+			if visE[u] == ep {
+				continue
+			}
+			visE[u] = ep
+		} else {
+			break
+		}
+		du, pu := dist[u], pot[u]
+		for a := head[u]; a != -1; a = next[a] {
+			if capa[a] <= 0 {
+				continue
+			}
+			v := int(to[a])
+			if visE[v] == ep {
+				continue
+			}
+			rc := cost[a] + pu - pot[v]
+			if rc == 0 {
+				// du is the minimum over all unsettled nodes, so v's
+				// distance is final.
+				dist[v] = du
+				distE[v] = ep
+				visE[v] = ep
+				stack = append(stack, int32(v))
+			} else if nd := du + rc; distE[v] != ep || nd < dist[v] {
+				dist[v] = nd
+				distE[v] = ep
+				s.push(v, nd)
+			}
+		}
+	}
+	s.stack = stack
 }
 
 // SolveSupplies satisfies per-node supplies (positive) and demands
@@ -306,16 +419,6 @@ func (s *Solver) SolveSupplies(g *Graph, supply []int64) (Result, error) {
 		return res, fmt.Errorf("flow: infeasible, routed %d of %d", res.Flow, total)
 	}
 	return res, nil
-}
-
-// MinCostFlow is the arena-free convenience form (a throwaway Solver).
-func (g *Graph) MinCostFlow(s, t int, maxFlow int64) Result {
-	return NewSolver().MinCostFlow(g, s, t, maxFlow)
-}
-
-// SolveSupplies is the arena-free convenience form (a throwaway Solver).
-func (g *Graph) SolveSupplies(supply []int64) (Result, error) {
-	return NewSolver().SolveSupplies(g, supply)
 }
 
 // ---------------------------------------------------------------------------

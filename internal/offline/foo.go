@@ -2,6 +2,8 @@ package offline
 
 import (
 	"context"
+	"slices"
+	"sync"
 
 	"uopsim/internal/flow"
 	"uopsim/internal/parallel"
@@ -189,79 +191,133 @@ func computeDecisions(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache
 	return dec
 }
 
+// segScratch is one solver worker's per-segment state, reused across the
+// segments it solves so a segment allocates nothing once the buffers have
+// grown to the largest instance. Pooled in segScratchPool.
+type segScratch struct {
+	next      map[uint64]int32 // id -> its next request, during collect's backward walk
+	intervals []interval
+	supply    []int64
+	g         flow.Graph
+}
+
+// interval is one reuse interval of a segment: request from is looked up
+// again at request to, and caching it for that stretch occupies size
+// entries. perUnit is the per-entry cost of its outer (miss) edge.
+type interval struct {
+	from, to int32
+	size     int64
+	perUnit  int64
+}
+
+var segScratchPool = sync.Pool{New: func() any {
+	return &segScratch{next: make(map[uint64]int32)}
+}}
+
 // solveSegment runs the min-cost-flow formulation on one per-set segment and
 // writes keep decisions into dec.
 func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) {
-	m := len(reqs)
-	if m < 2 {
+	if len(reqs) < 2 {
 		return
 	}
-	// Walk backward so "next occurrence" is known, counting intervals as we
-	// go: together with the m-1 inner edges and at most m supply edges this
-	// gives the exact arc budget, so the graph build never grows a slice.
-	next := make(map[uint64]int, m) // id -> most recent earlier index
-	nextOcc := make([]int, m)
-	nIntervals := 0
-	for i := m - 1; i >= 0; i-- {
-		if j, ok := next[reqs[i].id]; ok {
-			nextOcc[i] = j
-			nIntervals++
-		} else {
-			nextOcc[i] = -1
-		}
-		next[reqs[i].id] = i
+	sc := segScratchPool.Get().(*segScratch)
+	defer segScratchPool.Put(sc)
+	if !sc.collect(reqs, model) {
+		return
 	}
-	g := flow.NewGraphCap(m, (m-1)+nIntervals+m)
+	if !sc.fits(ways) {
+		sc.solve(reqs, ways, dec)
+		return
+	}
+	for _, iv := range sc.intervals {
+		dec.Keep[reqs[iv.from].pos] = true
+	}
+}
+
+// collect lists the segment's intervals in order of their first request,
+// with each request's net supply, and reports whether there are any.
+func (sc *segScratch) collect(reqs []fooRequest, model CostModel) bool {
+	m := len(reqs)
+	// Walk backward so "next occurrence" is known.
+	clear(sc.next)
+	sc.intervals = sc.intervals[:0]
+	for i := m - 1; i >= 0; i-- {
+		if j, ok := sc.next[reqs[i].id]; ok {
+			size := int64(reqs[i].size)
+			var missCost int64
+			switch model {
+			case CostOHR:
+				missCost = 1
+			case CostBHR:
+				missCost = size
+			case CostVC:
+				missCost = int64(reqs[i].cost)
+			}
+			// Per-unit cost of NOT caching the interval; costScale
+			// keeps it integral for any size 1..8.
+			sc.intervals = append(sc.intervals, interval{from: int32(i), to: j, size: size, perUnit: costScale * missCost / size})
+		}
+		sc.next[reqs[i].id] = int32(i)
+	}
+	slices.Reverse(sc.intervals)
+	if cap(sc.supply) < m {
+		sc.supply = make([]int64, m)
+	}
+	sc.supply = sc.supply[:m]
+	clear(sc.supply)
+	for _, iv := range sc.intervals {
+		sc.supply[iv.from] += iv.size
+		sc.supply[iv.to] -= iv.size
+	}
+	return len(sc.intervals) > 0
+}
+
+// fits reports whether every interval can be cached at once: the entries
+// of the intervals spanning each inner edge (the prefix sums of supply)
+// never exceed ways, and every outer edge has a positive cost. Routing all
+// supply over the zero-cost inner edges is then feasible at cost 0, and any
+// flow on an outer edge costs more, so the unique optimum keeps every
+// interval — exactly what the flow solve would return.
+func (sc *segScratch) fits(ways int) bool {
+	var load int64
+	for _, s := range sc.supply {
+		if load += s; load > int64(ways) {
+			return false
+		}
+	}
+	return !slices.ContainsFunc(sc.intervals, func(iv interval) bool { return iv.perUnit <= 0 })
+}
+
+// solve builds the segment's flow network and keeps the intervals whose
+// outer edge carries no flow.
+func (sc *segScratch) solve(reqs []fooRequest, ways int, dec *Decisions) {
+	m := len(reqs)
+	// The m-1 inner edges, one outer edge per interval and at most m
+	// supply edges are the exact arc budget, so the build never grows a
+	// slice. Arcs are added in the order the solver's pop-order contract
+	// was fixed with: inner edges, then outer edges by first request.
+	g := &sc.g
+	g.Reset(m, (m-1)+len(sc.intervals)+m)
 	// Inner edges: consecutive requests share the set's entry capacity.
 	for i := 0; i+1 < m; i++ {
 		g.AddEdge(i, i+1, int64(ways), 0)
 	}
-	// Outer edges: one per interval (request -> next request of the same
-	// object within the segment).
-	type interval struct {
-		edge int
-		from int
-	}
-	intervals := make([]interval, 0, nIntervals)
-	supply := make([]int64, m)
-	for i := 0; i < m; i++ {
-		j := nextOcc[i]
-		if j < 0 {
-			continue
-		}
-		size := int64(reqs[i].size)
-		var missCost int64
-		switch model {
-		case CostOHR:
-			missCost = 1
-		case CostBHR:
-			missCost = size
-		case CostVC:
-			missCost = int64(reqs[i].cost)
-		}
-		// Per-unit cost of NOT caching the interval; costScale keeps
-		// it integral for any size 1..8.
-		perUnit := costScale * missCost / size
-		e := g.AddEdge(i, j, size, perUnit)
-		intervals = append(intervals, interval{edge: e, from: i})
-		supply[i] += size
-		supply[j] -= size
-	}
-	if len(intervals) == 0 {
-		return
+	// Outer edges: logical edge m-1+k is interval k's.
+	for _, iv := range sc.intervals {
+		g.AddEdge(int(iv.from), int(iv.to), iv.size, iv.perUnit)
 	}
 	// The network is always feasible: every outer edge can carry its own
 	// supply. An error here is a programming bug.
 	sv := flow.AcquireSolver()
-	_, err := sv.SolveSupplies(g, supply)
+	_, err := sv.SolveSupplies(g, sc.supply)
 	flow.ReleaseSolver(sv)
 	if err != nil {
 		panic("offline: infeasible FOO instance: " + err.Error())
 	}
-	for _, iv := range intervals {
+	for k, iv := range sc.intervals {
 		// Zero flow on the outer (miss) edge means the whole object
 		// rode the inner edges: the interval is cached.
-		if g.Flow(iv.edge) == 0 {
+		if g.Flow(m-1+k) == 0 {
 			dec.Keep[reqs[iv.from].pos] = true
 		}
 	}

@@ -20,6 +20,14 @@ const planMagic = 0x75507046
 // encoding OR the semantics of a plan change (solver tie-breaking, cost
 // scaling, segment handling): cached plans from older versions then miss
 // and are recomputed instead of silently replaying stale decisions.
+//
+// Solver tie-breaking is part of a plan's semantics: the flow solver's
+// heap pop order up to the sink is a contract (see package flow), because
+// another order among equal distances is just as optimal but flips 53–1,616
+// keep decisions per app × variant at 60k blocks. Work that leaves that
+// order alone — the solver's finishing loop, the heap's constant factors,
+// skipping segments whose intervals all fit — keeps plans byte-identical
+// (testdata/plan_digests.json pins them) and needs no bump.
 const planVersion = 1
 
 // EncodePlan serializes a keep-plan in a compact little-endian binary
