@@ -21,6 +21,7 @@ import (
 	"uopsim/internal/offline"
 	"uopsim/internal/policy"
 	"uopsim/internal/profiles"
+	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
@@ -239,6 +240,26 @@ func BenchmarkInclusiveReplay(b *testing.B) {
 		b.Fatal("no invalidations: the L1i never evicted a line holding a resident window")
 	}
 	b.ReportMetric(float64(c.Stats.Invalidations)/float64(b.N), "invalidations/op")
+}
+
+// BenchmarkReplayWithMetrics is BenchmarkPolicyLookup/lru with a metrics
+// registry attached and the run's counters published after every replay,
+// as the run drivers do: the gap between the two is what -telemetry costs
+// the replay path.
+func BenchmarkReplayWithMetrics(b *testing.B) {
+	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
+	c := uopcache.New(cfg, policy.NewLRU())
+	c.AttachMetrics(telemetry.NewRegistry())
+	beh := uopcache.NewBehavior(c, nil)
+	beh.RunPrepared(pt) // warm to steady state before timing
+	c.Publish()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		beh.RunPrepared(pt)
+		c.Publish()
+	}
 }
 
 func BenchmarkFLACKSolve(b *testing.B) {

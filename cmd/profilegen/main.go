@@ -125,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if obs.Sink != nil {
 		events = obs.Sink
 	}
-	prof := profiles.CollectObserved(pws, cfg.UopCache, src, obs.Registry, events)
+	prof := profiles.CollectWith(pws, cfg.UopCache, src, profiles.CollectOptions{Metrics: obs.Registry, Events: events})
 	prog.Step("profile", src.String(), 2, 3, time.Since(phase))
 	phase = time.Now()
 	if err := telemetry.AtomicWriteFile(*out, 0o644, prof.Save); err != nil {

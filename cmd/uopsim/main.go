@@ -213,7 +213,7 @@ func simulate(app, traceFile, pol, mode string, blocks, input int, icache, zen4,
 		}
 		phase := time.Now()
 		simSpan := spans.Begin("phase", "simulate").Arg("policy", pol)
-		res, err := core.RunTimingByNameObserved(pol, blks, pws, cfg, prof, tel)
+		res, err := core.RunTimingByNameWith(pol, blks, pws, cfg, prof, core.TimingOptions{Telemetry: tel})
 		simSpan.End()
 		if err != nil {
 			return err

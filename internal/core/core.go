@@ -190,32 +190,19 @@ func TraceForCached(app string, numBlocks, input int, store *artifact.Store) (Tr
 }
 
 // Telemetry bundles the optional observability attachments threaded into a
-// run: a metrics registry receiving live uopcache_* (and per-policy)
-// counters, and a structured event sink receiving the cache-decision trace.
-// The zero value disables both.
+// run: a metrics registry receiving the run's uopcache_* and per-policy
+// counters (published from the cache's own aggregates when the run ends and
+// at the cache's fixed lookup interval), and a structured event sink
+// receiving the cache-decision trace. The zero value disables both.
 type Telemetry struct {
 	Metrics *telemetry.Registry
 	Events  telemetry.EventSink
 }
 
-// attach wires the attachments into a cache and, when metrics are enabled,
-// returns the policy wrapped with per-policy decision counters.
+// attach wires the attachments into a cache.
 func (t Telemetry) attach(c *uopcache.Cache) {
-	if t.Metrics != nil {
-		c.AttachMetrics(t.Metrics)
-	}
-	if t.Events != nil {
-		c.SetEventSink(t.Events)
-	}
-}
-
-// instrument wraps pol with per-policy decision counters when metrics are
-// attached.
-func (t Telemetry) instrument(pol uopcache.Policy) uopcache.Policy {
-	if t.Metrics == nil {
-		return pol
-	}
-	return policy.Instrument(pol, t.Metrics)
+	c.AttachMetrics(t.Metrics)
+	c.SetEventSink(t.Events)
 }
 
 // BehaviorOptions tunes a behaviour-mode run.
@@ -259,8 +246,6 @@ type BehaviorResult struct {
 // an online policy.
 func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorOptions) BehaviorResult {
 	pt := uopcache.Resolve(cfg.UopCache, pws, opts.Prepared)
-	base := pol
-	pol = opts.Telemetry.instrument(pol)
 	c := uopcache.New(cfg.UopCache, pol)
 	opts.Telemetry.attach(c)
 	var ic *cache.Cache
@@ -279,7 +264,8 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 	} else {
 		res.Stats = b.RunPrepared(pt)
 	}
-	if f, ok := base.(*policy.FURBYS); ok {
+	c.Publish()
+	if f, ok := pol.(*policy.FURBYS); ok {
 		st := f.Stats
 		res.FURBYS = &st
 	}
@@ -367,19 +353,17 @@ func ResolveColumns(blocks []trace.Block, bcfg branch.Config, attached *frontend
 	return attached
 }
 
-// RunTimingWith is RunTiming with attachments: observability (the cache's
-// uopcache_* counters and decision events stream into opts.Telemetry during
-// the run, and the frontend_* aggregates are published at the end) and the
+// RunTimingWith is RunTiming with attachments: observability (decision
+// events stream into opts.Telemetry during the run; the cache's counters
+// and the frontend_* aggregates are published into it) and the
 // shared timing columns (opts.Columns, resolved by ResolveColumns). The
 // policy is already built, so opts.Prepared, Plans and Workers are unused.
 func RunTimingWith(blocks []trace.Block, cfg Config, pol uopcache.Policy, opts TimingOptions) TimingResult {
 	cols := ResolveColumns(blocks, cfg.Branch, opts.Columns)
 	tel := opts.Telemetry
-	base := policy.Unwrap(pol)
-	pol = tel.instrument(pol)
 	uc := uopcache.New(cfg.UopCache, pol)
 	tel.attach(uc)
-	if sp, ok := base.(*offline.SchedulePolicy); ok {
+	if sp, ok := pol.(*offline.SchedulePolicy); ok {
 		sp.BindPos(func() int { return int(uc.Stats.Lookups) })
 	}
 	var l1i *cache.Cache
@@ -388,9 +372,8 @@ func RunTimingWith(blocks []trace.Block, cfg Config, pol uopcache.Policy, opts T
 	}
 	be := backend.New(cfg.Backend)
 	res := frontend.New(cfg.Frontend, uc, l1i, be).Run(cols)
-	if tel.Metrics != nil {
-		res.PublishMetrics(tel.Metrics)
-	}
+	uc.Publish()
+	res.PublishMetrics(tel.Metrics)
 	pb := power.Compute(res, cfg.Energy)
 	return TimingResult{Frontend: res, Power: pb, PPW: power.PPW(res, pb)}
 }
@@ -400,11 +383,6 @@ func RunTimingWith(blocks []trace.Block, cfg Config, pol uopcache.Policy, opts T
 // same trace when prof is nil.
 func RunTimingByName(name string, blocks []trace.Block, pws []trace.PW, cfg Config, prof *profiles.Profile) (TimingResult, error) {
 	return RunTimingByNameWith(name, blocks, pws, cfg, prof, TimingOptions{})
-}
-
-// RunTimingByNameObserved is RunTimingByName with observability attached.
-func RunTimingByNameObserved(name string, blocks []trace.Block, pws []trace.PW, cfg Config, prof *profiles.Profile, tel Telemetry) (TimingResult, error) {
-	return RunTimingByNameWith(name, blocks, pws, cfg, prof, TimingOptions{Telemetry: tel})
 }
 
 // TimingOptions bundles a timing run's optional attachments: observability,

@@ -80,7 +80,7 @@ func TestRunManyUnknownID(t *testing.T) {
 }
 
 // TestProfileSingleflight closes the duplicate-compute window: N concurrent
-// Profile calls for the same key must invoke CollectObserved exactly once
+// Profile calls for the same key must invoke the collection exactly once
 // and hand every caller the same *profiles.Profile.
 func TestProfileSingleflight(t *testing.T) {
 	old := collectProfile
@@ -108,7 +108,7 @@ func TestProfileSingleflight(t *testing.T) {
 		}
 	}
 	if got := calls.Load(); got != 1 {
-		t.Errorf("CollectObserved ran %d times, want exactly 1", got)
+		t.Errorf("profile collection ran %d times, want exactly 1", got)
 	}
 }
 

@@ -111,28 +111,30 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// PublishMetrics copies the run's frontend-level aggregates into reg as
-// frontend_* metrics (the uopcache_* family is maintained live by the cache
-// itself when attached).
+// PublishMetrics adds the run's frontend-level aggregates into reg's
+// frontend_*_total counters, so each counter sums every run published into
+// reg, and sets the frontend_ipc and frontend_uop_miss_rate gauges to this
+// run's values. The uopcache_* family is published by the cache itself. A
+// nil reg does nothing.
 func (r Result) PublishMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("frontend_cycles_total").Store(r.Cycles)
-	reg.Counter("frontend_instructions_total").Store(r.Instructions)
-	reg.Counter("frontend_uops_total").Store(r.Uops)
-	reg.Counter("frontend_decoded_uops_total").Store(r.Events.DecodedUops)
-	reg.Counter("frontend_decoder_active_cycles_total").Store(r.Events.DecoderActiveCycles)
-	reg.Counter("frontend_icache_reads_total").Store(r.Events.ICacheReads)
-	reg.Counter("frontend_icache_misses_total").Store(r.Events.ICacheMisses)
-	reg.Counter("frontend_l2_instr_reads_total").Store(r.Events.L2InstrReads)
-	reg.Counter("frontend_uopcache_lookups_total").Store(r.Events.UopCacheLookups)
-	reg.Counter("frontend_uopcache_hit_uops_total").Store(r.Events.UopCacheHitUops)
-	reg.Counter("frontend_uopcache_writes_total").Store(r.Events.UopCacheWrites)
-	reg.Counter("frontend_bp_lookups_total").Store(r.Events.BPLookups)
-	reg.Counter("frontend_btb_lookups_total").Store(r.Events.BTBLookups)
-	reg.Counter("frontend_path_switches_total").Store(r.Events.Switches)
-	reg.Counter("frontend_mispredict_flushes_total").Store(r.Events.MispredictFlushes)
+	reg.Counter("frontend_cycles_total").Add(r.Cycles)
+	reg.Counter("frontend_instructions_total").Add(r.Instructions)
+	reg.Counter("frontend_uops_total").Add(r.Uops)
+	reg.Counter("frontend_decoded_uops_total").Add(r.Events.DecodedUops)
+	reg.Counter("frontend_decoder_active_cycles_total").Add(r.Events.DecoderActiveCycles)
+	reg.Counter("frontend_icache_reads_total").Add(r.Events.ICacheReads)
+	reg.Counter("frontend_icache_misses_total").Add(r.Events.ICacheMisses)
+	reg.Counter("frontend_l2_instr_reads_total").Add(r.Events.L2InstrReads)
+	reg.Counter("frontend_uopcache_lookups_total").Add(r.Events.UopCacheLookups)
+	reg.Counter("frontend_uopcache_hit_uops_total").Add(r.Events.UopCacheHitUops)
+	reg.Counter("frontend_uopcache_writes_total").Add(r.Events.UopCacheWrites)
+	reg.Counter("frontend_bp_lookups_total").Add(r.Events.BPLookups)
+	reg.Counter("frontend_btb_lookups_total").Add(r.Events.BTBLookups)
+	reg.Counter("frontend_path_switches_total").Add(r.Events.Switches)
+	reg.Counter("frontend_mispredict_flushes_total").Add(r.Events.MispredictFlushes)
 	reg.Gauge("frontend_ipc").Set(r.IPC())
 	reg.Gauge("frontend_uop_miss_rate").Set(r.UopCache.UopMissRate())
 }

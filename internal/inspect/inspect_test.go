@@ -170,6 +170,7 @@ func TestReconciliationWithLiveCache(t *testing.T) {
 	c.AttachMetrics(reg)
 	c.SetEventSink(col)
 	stats := uopcache.NewBehavior(c, nil).RunPrepared(uopcache.Prepare(cfg, pws))
+	c.Publish() // the run's owner publishes its counters at the end
 	if stats.Evictions == 0 {
 		t.Fatal("test trace produced no evictions; widen it")
 	}

@@ -148,9 +148,10 @@ type Options struct {
 	// 1 = serial). Only the solve fans out; the replay itself is inherently
 	// serial (see replayDecisions).
 	Workers int
-	// Metrics, when non-nil, receives the live uopcache_* counters of
-	// the replay; Events, when non-nil, receives the structured decision
-	// trace. Both are optional observability attachments.
+	// Metrics, when non-nil, receives the replay's uopcache_* and
+	// policy_<name>_* counters, published when the replay ends; Events,
+	// when non-nil, receives the structured decision trace. Both are
+	// optional observability attachments.
 	Metrics *telemetry.Registry
 	Events  telemetry.EventSink
 	// Prepared, when non-nil, is the shared prepared trace of the run's
@@ -165,12 +166,8 @@ type Options struct {
 
 // attach wires the optional observability attachments into a replay cache.
 func (o Options) attach(c *uopcache.Cache) {
-	if o.Metrics != nil {
-		c.AttachMetrics(o.Metrics)
-	}
-	if o.Events != nil {
-		c.SetEventSink(o.Events)
-	}
+	c.AttachMetrics(o.Metrics)
+	c.SetEventSink(o.Events)
 }
 
 // RunFOO replays the lookup sequence under a FOO/FLACK plan with the given
@@ -250,6 +247,7 @@ func replayDecisions(pt *trace.PreparedTrace, cfg uopcache.Config, dec *Decision
 		}
 	}
 	b.Flush()
+	c.Publish()
 	res.Stats = c.Stats
 	return res
 }
@@ -271,6 +269,7 @@ func RunBelady(pws []trace.PW, cfg uopcache.Config, opts Options) Result {
 		}
 	}
 	b.Flush()
+	c.Publish()
 	res.Stats = c.Stats
 	return res
 }

@@ -91,13 +91,6 @@ type CollectOptions struct {
 	Workers  int
 }
 
-// CollectObserved is Collect with observability attached: the profiling
-// replay's uopcache_* counters stream into metrics and its decision trace
-// into events (either may be nil).
-func CollectObserved(pws []trace.PW, cfg uopcache.Config, src Source, metrics *telemetry.Registry, events telemetry.EventSink) *Profile {
-	return CollectWith(pws, cfg, src, CollectOptions{Metrics: metrics, Events: events})
-}
-
 // CollectWith is Collect with the full attachment set.
 func CollectWith(pws []trace.PW, cfg uopcache.Config, src Source, o CollectOptions) *Profile {
 	opts := offline.Options{

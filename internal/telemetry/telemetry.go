@@ -35,7 +35,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Store overwrites the value; used when publishing an externally maintained
-// aggregate (e.g. uopcache.Stats) into the registry.
+// process-wide aggregate (e.g. the flow solver pool's counts) into the
+// registry.
 func (c *Counter) Store(n uint64) { c.v.Store(n) }
 
 // Value returns the current count.
@@ -67,7 +68,23 @@ type Histogram struct {
 func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
+	h.buckets[Bucket(v)].Add(1)
+}
+
+// Bucket returns the index of the bucket that holds v.
+func Bucket(v uint64) int { return bits.Len64(v) }
+
+// Merge adds a batch of samples a single goroutine accumulated in plain
+// integers (count samples summing to sum, binned by Bucket) — the way a hot
+// loop meters itself without paying an atomic per sample.
+func (h *Histogram) Merge(count, sum uint64, buckets *[HistogramBuckets]uint64) {
+	h.count.Add(count)
+	h.sum.Add(sum)
+	for i, n := range buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
 }
 
 // Count returns the number of samples observed.
@@ -157,8 +174,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // OnCollect registers a hook run before each exposition, letting components
-// that keep their own aggregates (e.g. uopcache.Stats) publish fresh values
-// on scrape instead of paying per-event costs.
+// that keep their own process-wide aggregates (e.g. the flow solver pool)
+// publish fresh values on scrape instead of paying per-event costs.
 func (r *Registry) OnCollect(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -80,6 +80,29 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
+// TestHistogramMergeMatchesObserve checks that merging plainly binned
+// samples leaves the same histogram as observing them one by one.
+func TestHistogramMergeMatchesObserve(t *testing.T) {
+	samples := []uint64{0, 1, 3, 4, 7, 8, 1023, 1024, math.MaxUint64 / 2}
+	var observed, merged Histogram
+	var count, sum uint64
+	var buckets [HistogramBuckets]uint64
+	for _, v := range samples {
+		observed.Observe(v)
+		count++
+		sum += v
+		buckets[Bucket(v)]++
+	}
+	merged.Observe(5)
+	observed.Observe(5)
+	merged.Merge(count, sum, &buckets)
+	wc, ws, wb := observed.Snapshot()
+	gc, gs, gb := merged.Snapshot()
+	if gc != wc || gs != ws || gb != wb {
+		t.Errorf("merged (%d, %d, %v) != observed (%d, %d, %v)", gc, gs, gb, wc, ws, wb)
+	}
+}
+
 // TestConcurrentCounters hammers one counter, one gauge and one histogram
 // from many goroutines; run under -race this also proves the mutation paths
 // are data-race-free.

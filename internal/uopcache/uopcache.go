@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
@@ -212,50 +213,55 @@ type Cache struct {
 	// capSlots, so refilling it never allocates.
 	invVictims []uint64
 
-	// sink receives the structured decision trace; m holds the live
-	// uopcache_* metrics. Both are nil unless attached, and every
-	// emission site guards with a nil check so the hot path pays nothing
-	// when observability is off.
+	// sink receives the structured decision trace; nil unless attached,
+	// and every emission site guards with a nil check so the hot path
+	// pays nothing when the trace is off.
 	sink    telemetry.EventSink
-	m       *cacheMetrics
 	polName string
+
+	// tally is what the metrics need beyond Stats, counted in plain
+	// integers since the last publish; pub is Stats as of that publish.
+	// out holds the registry series Publish adds the difference into; it
+	// is nil unless metrics are attached.
+	tally tally
+	pub   Stats
+	out   *published
 
 	Stats Stats
 }
 
-// cacheMetrics pre-resolves the registry counters the cache increments at
-// exactly the sites the Stats fields are incremented, so the exposed
-// uopcache_* counters reconcile with Stats at any instant.
-type cacheMetrics struct {
-	lookups, fullHits, partialHits, misses     *telemetry.Counter
-	uopsRequested, uopsHit, uopsMissed         *telemetry.Counter
-	insertions, entriesWritten                 *telemetry.Counter
-	bypasses, evictions, invalidations         *telemetry.Counter
-	coalesced                                  *telemetry.Counter
-	slotOccupancy                              *telemetry.Gauge
-	lookupUops, victimCostUops, victimReuseAge *telemetry.Histogram
+// publishEvery is the lookup interval (a power of two) at which a metered
+// cache publishes mid-run, so a long run stays live on the dashboard.
+const publishEvery = 1 << 16
+
+// tally holds the per-cache counts Stats lacks: coalesced misses, the
+// policy's event counts, and the three histograms' bins and sums. The
+// histograms' sample counts come from Stats (a lookup_uops sample per
+// lookup, a victim sample per eviction), and so does lookup_uops's sum.
+type tally struct {
+	coalesced      uint64
+	perfectHits    uint64 // lookups served by NotePerfectHit, which never reach the policy
+	onEvicts       uint64
+	victimCalls    uint64
+	policyBypasses uint64
+	victimCostSum  uint64
+	victimAgeSum   uint64
+	lookupUops     [telemetry.HistogramBuckets]uint64
+	victimCost     [telemetry.HistogramBuckets]uint64
+	victimAge      [telemetry.HistogramBuckets]uint64
 }
 
-func newCacheMetrics(reg *telemetry.Registry) *cacheMetrics {
-	return &cacheMetrics{
-		lookups:        reg.Counter("uopcache_lookups_total"),
-		fullHits:       reg.Counter("uopcache_full_hits_total"),
-		partialHits:    reg.Counter("uopcache_partial_hits_total"),
-		misses:         reg.Counter("uopcache_misses_total"),
-		uopsRequested:  reg.Counter("uopcache_uops_requested_total"),
-		uopsHit:        reg.Counter("uopcache_uops_hit_total"),
-		uopsMissed:     reg.Counter("uopcache_uops_missed_total"),
-		insertions:     reg.Counter("uopcache_insertions_total"),
-		entriesWritten: reg.Counter("uopcache_entries_written_total"),
-		bypasses:       reg.Counter("uopcache_bypasses_total"),
-		evictions:      reg.Counter("uopcache_evictions_total"),
-		invalidations:  reg.Counter("uopcache_invalidations_total"),
-		coalesced:      reg.Counter("uopcache_coalesced_misses_total"),
-		slotOccupancy:  reg.Gauge("uopcache_slot_occupancy"),
-		lookupUops:     reg.Histogram("uopcache_lookup_uops"),
-		victimCostUops: reg.Histogram("uopcache_victim_cost_uops"),
-		victimReuseAge: reg.Histogram("uopcache_victim_reuse_age_lookups"),
-	}
+// published is the set of registry series a metered cache publishes into,
+// resolved once by AttachMetrics so Publish never touches the registry's
+// name map.
+type published struct {
+	stats     [numStats]*telemetry.Counter // in Stats.fields order
+	coalesced *telemetry.Counter
+	// policy_<name>_*_total: hits, inserts, evictions (OnEvict calls),
+	// victim calls and bypass decisions.
+	polHits, polInserts, polEvicts, polVictims, polBypasses *telemetry.Counter
+	occupancy                                               *telemetry.Gauge
+	lookupUops, victimCost, victimAge                       *telemetry.Histogram
 }
 
 // cset is one set's dense storage: capSlots Resident slots (a slot is free
@@ -295,6 +301,19 @@ func (s Stats) UopMissRate() float64 {
 		return 0
 	}
 	return float64(s.UopsMissed) / float64(s.UopsRequested)
+}
+
+// numStats is the number of Stats counters.
+const numStats = 12
+
+// fields lists the counters in declaration order, the order of the
+// uopcache_* series AttachMetrics resolves.
+func (s *Stats) fields() [numStats]uint64 {
+	return [numStats]uint64{
+		s.Lookups, s.FullHits, s.PartialHits, s.Misses,
+		s.UopsRequested, s.UopsHit, s.UopsMissed,
+		s.Insertions, s.EntriesWritten, s.Bypasses, s.Evictions, s.Invalidations,
+	}
 }
 
 // hashKey spreads window start addresses over the probe index (the
@@ -438,16 +457,98 @@ func (s *cset) allocSlot() int32 {
 // trace. With no sink attached the instrumented paths reduce to a nil check.
 func (c *Cache) SetEventSink(s telemetry.EventSink) { c.sink = s }
 
-// AttachMetrics registers the cache's live uopcache_* counters and
-// histograms in reg. Counters are incremented at exactly the sites the
-// Stats fields are, so both views reconcile at any instant.
+// AttachMetrics resolves the cache's uopcache_* and policy_<name>_* series
+// in reg (nil detaches). The cache counts into Stats and plain per-cache
+// integers; Publish adds what it counted since attaching, or since the
+// previous publish, into these series.
 func (c *Cache) AttachMetrics(reg *telemetry.Registry) {
+	c.pub, c.tally, c.out = c.Stats, tally{}, nil
 	if reg == nil {
-		c.m = nil
 		return
 	}
-	c.m = newCacheMetrics(reg)
-	c.m.slotOccupancy.Set(float64(c.totalResidents))
+	// The per-policy family is policy_<name>_*, with the name mangled into
+	// the [a-z0-9_] alphabet the exposition contract requires.
+	prefix := "policy_" + metricSafe(c.polName) + "_"
+	policyCounter := func(suffix string) *telemetry.Counter {
+		return reg.Counter(prefix + suffix) //simlint:ignore telemetry per-policy family policy_<name>_*, name mangled to [a-z0-9_] by metricSafe
+	}
+	c.out = &published{
+		stats: [numStats]*telemetry.Counter{
+			reg.Counter("uopcache_lookups_total"),
+			reg.Counter("uopcache_full_hits_total"),
+			reg.Counter("uopcache_partial_hits_total"),
+			reg.Counter("uopcache_misses_total"),
+			reg.Counter("uopcache_uops_requested_total"),
+			reg.Counter("uopcache_uops_hit_total"),
+			reg.Counter("uopcache_uops_missed_total"),
+			reg.Counter("uopcache_insertions_total"),
+			reg.Counter("uopcache_entries_written_total"),
+			reg.Counter("uopcache_bypasses_total"),
+			reg.Counter("uopcache_evictions_total"),
+			reg.Counter("uopcache_invalidations_total"),
+		},
+		coalesced:   reg.Counter("uopcache_coalesced_misses_total"),
+		polHits:     policyCounter("hits_total"),
+		polInserts:  policyCounter("inserts_total"),
+		polEvicts:   policyCounter("evictions_total"),
+		polVictims:  policyCounter("victim_calls_total"),
+		polBypasses: policyCounter("bypasses_total"),
+		occupancy:   reg.Gauge("uopcache_slot_occupancy"),
+		lookupUops:  reg.Histogram("uopcache_lookup_uops"),
+		victimCost:  reg.Histogram("uopcache_victim_cost_uops"),
+		victimAge:   reg.Histogram("uopcache_victim_reuse_age_lookups"),
+	}
+	c.out.occupancy.Set(float64(c.totalResidents))
+}
+
+// metricSafe maps a policy name into the [a-z0-9_] metric-name alphabet
+// (e.g. "ship++" -> "ship__").
+func metricSafe(name string) string {
+	b := []byte(strings.ToLower(name))
+	for i, ch := range b {
+		if (ch < 'a' || ch > 'z') && (ch < '0' || ch > '9') && ch != '_' {
+			b[i] = '_'
+		}
+	}
+	return string(b)
+}
+
+// Publish adds everything the cache counted since the last publish to the
+// attached metrics, so each series equals the sum of its runs' Stats. A
+// cache publishes by itself every publishEvery lookups; the driver that
+// owns a run's end calls Publish once more after the final Flush. Without
+// metrics attached it does nothing. It never allocates.
+func (c *Cache) Publish() {
+	p := c.out
+	if p == nil {
+		return
+	}
+	now, last := c.Stats.fields(), c.pub.fields()
+	for i, ctr := range p.stats {
+		ctr.Add(now[i] - last[i])
+	}
+	s, t := &c.Stats, &c.tally
+	p.coalesced.Add(t.coalesced)
+	p.polHits.Add(s.FullHits + s.PartialHits - c.pub.FullHits - c.pub.PartialHits - t.perfectHits)
+	p.polInserts.Add(s.Insertions - c.pub.Insertions)
+	p.polEvicts.Add(t.onEvicts)
+	p.polVictims.Add(t.victimCalls)
+	p.polBypasses.Add(t.policyBypasses)
+	p.occupancy.Set(float64(c.totalResidents))
+	evictions := s.Evictions - c.pub.Evictions
+	p.lookupUops.Merge(s.Lookups-c.pub.Lookups, s.UopsRequested-c.pub.UopsRequested, &t.lookupUops)
+	p.victimCost.Merge(evictions, t.victimCostSum, &t.victimCost)
+	p.victimAge.Merge(evictions, t.victimAgeSum, &t.victimAge)
+	c.pub = c.Stats
+	*t = tally{}
+}
+
+// tick advances the lookup clock, publishing every publishEvery lookups.
+func (c *Cache) tick() {
+	c.clock++
+	if c.clock%publishEvery == 0 {
+		c.Publish()
+	}
 }
 
 // Config returns the cache configuration.
@@ -552,21 +653,22 @@ func lastTouch(r *Resident) uint64 {
 	return r.InsertedAt
 }
 
-// observeEviction mirrors a Stats.Evictions increment into the metrics and
-// event trace; call it BEFORE removeResident so victim details are intact.
+// observeEviction mirrors a Stats.Evictions increment into the victim
+// histograms and the event trace; call it BEFORE removeResident so victim
+// details are intact.
 // incoming is the start address of the window whose insertion forced the
 // eviction (zero when eager/offline); d carries the policy's stated reason
 // and losing score for attribution.
 func (c *Cache) observeEviction(set int, r *Resident, incoming uint64, d Decision) {
-	if c.m != nil {
-		c.m.evictions.Inc()
-		c.m.victimCostUops.Observe(uint64(r.Uops))
-		c.m.victimReuseAge.Observe(c.clock - lastTouch(r))
-	}
+	cost, age := uint64(r.Uops), c.clock-lastTouch(r)
+	c.tally.victimCostSum += cost
+	c.tally.victimCost[telemetry.Bucket(cost)]++
+	c.tally.victimAgeSum += age
+	c.tally.victimAge[telemetry.Bucket(age)]++
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
 			Seq: c.clock, Kind: telemetry.EventEvict, Set: set, Key: r.Key,
-			VictimKey: r.Key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
+			VictimKey: r.Key, VictimUops: r.Uops, VictimAge: age,
 			IncomingKey: incoming, Reason: d.Reason, Score: d.Score,
 			Policy: c.polName,
 		})
@@ -577,9 +679,6 @@ func (c *Cache) observeEviction(set int, r *Resident, incoming uint64, d Decisio
 // window, or cancelled in-flight insertion).
 func (c *Cache) noteBypass(set int, pw trace.PW) {
 	c.Stats.Bypasses++
-	if c.m != nil {
-		c.m.bypasses.Inc()
-	}
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
 			Seq: c.clock, Kind: telemetry.EventBypass, Set: set, Key: pw.Start,
@@ -592,9 +691,7 @@ func (c *Cache) noteBypass(set int, pw trace.PW) {
 // Stats field aggregates these; the behaviour driver and the timing
 // frontend own insertion scheduling, so they report coalescing here).
 func (c *Cache) NoteCoalescedMiss(pw trace.PW) {
-	if c.m != nil {
-		c.m.coalesced.Inc()
-	}
+	c.tally.coalesced++
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
 			Seq: c.clock, Kind: telemetry.EventCoalesce, Set: c.SetIndex(pw.Start),
@@ -607,19 +704,14 @@ func (c *Cache) NoteCoalescedMiss(pw trace.PW) {
 // (the timing model's PerfectUopCache switch) so Stats, metrics and the
 // event trace stay mutually consistent under the perfect-structure studies.
 func (c *Cache) NotePerfectHit(pw trace.PW) {
-	c.clock++
+	c.tick()
 	want := int(pw.NumUops)
 	c.Stats.Lookups++
 	c.Stats.FullHits++
 	c.Stats.UopsRequested += uint64(want)
 	c.Stats.UopsHit += uint64(want)
-	if c.m != nil {
-		c.m.lookups.Inc()
-		c.m.fullHits.Inc()
-		c.m.uopsRequested.Add(uint64(want))
-		c.m.uopsHit.Add(uint64(want))
-		c.m.lookupUops.Observe(uint64(want))
-	}
+	c.tally.perfectHits++
+	c.tally.lookupUops[telemetry.Bucket(uint64(want))]++
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
 			Seq: c.clock, Kind: telemetry.EventHit, Set: c.SetIndex(pw.Start),
@@ -643,24 +735,16 @@ func (c *Cache) Lookup(pw trace.PW) ProbeResult {
 //
 //simlint:hotpath
 func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
-	c.clock++
+	c.tick()
 	c.Stats.Lookups++
 	want := int(pw.NumUops)
 	c.Stats.UopsRequested += uint64(want)
-	if c.m != nil {
-		c.m.lookups.Inc()
-		c.m.uopsRequested.Add(uint64(want))
-		c.m.lookupUops.Observe(uint64(want))
-	}
+	c.tally.lookupUops[telemetry.Bucket(uint64(want))]++
 	s := &c.sets[set]
 	slot := c.findSlot(s, pw.Start)
 	if slot < 0 {
 		c.Stats.Misses++
 		c.Stats.UopsMissed += uint64(want)
-		if c.m != nil {
-			c.m.misses.Inc()
-			c.m.uopsMissed.Add(uint64(want))
-		}
 		if c.sink != nil {
 			c.sink.Emit(telemetry.Event{
 				Seq: c.clock, Kind: telemetry.EventMiss, Set: set, Key: pw.Start,
@@ -675,10 +759,6 @@ func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
 	if r.Uops >= want {
 		c.Stats.FullHits++
 		c.Stats.UopsHit += uint64(want)
-		if c.m != nil {
-			c.m.fullHits.Inc()
-			c.m.uopsHit.Add(uint64(want))
-		}
 		if c.sink != nil {
 			c.sink.Emit(telemetry.Event{
 				Seq: c.clock, Kind: telemetry.EventHit, Set: set, Key: pw.Start,
@@ -690,11 +770,6 @@ func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
 	c.Stats.PartialHits++
 	c.Stats.UopsHit += uint64(r.Uops)
 	c.Stats.UopsMissed += uint64(want - r.Uops)
-	if c.m != nil {
-		c.m.partialHits.Inc()
-		c.m.uopsHit.Add(uint64(r.Uops))
-		c.m.uopsMissed.Add(uint64(want - r.Uops))
-	}
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
 			Seq: c.clock, Kind: telemetry.EventPartial, Set: set, Key: pw.Start,
@@ -778,7 +853,9 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	for s.used+need > c.capSlots {
 		residents := c.residentsView(set)
 		d := c.policy.Victim(set, residents, pw)
+		c.tally.victimCalls++
 		if d.Bypass {
+			c.tally.policyBypasses++
 			c.noteBypass(set, pw)
 			return Bypassed
 		}
@@ -824,11 +901,6 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	c.addIdx(s, pw.Start, slot)
 	c.Stats.Insertions++
 	c.Stats.EntriesWritten += uint64(pw.Entries(c.cfg.UopsPerEntry))
-	if c.m != nil {
-		c.m.insertions.Inc()
-		c.m.entriesWritten.Add(uint64(pw.Entries(c.cfg.UopsPerEntry)))
-		c.m.slotOccupancy.Set(float64(c.totalResidents))
-	}
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
 			Seq: c.clock, Kind: telemetry.EventInsert, Set: set, Key: pw.Start,
@@ -856,9 +928,7 @@ func (c *Cache) removeResident(set int, slot int32) {
 	// EntriesUsed so stale contents cannot be mistaken for a resident.
 	r.EntriesUsed = 0
 	r.Lines = r.Lines[:0]
-	if c.m != nil {
-		c.m.slotOccupancy.Set(float64(c.totalResidents))
-	}
+	c.tally.onEvicts++
 	c.policy.OnEvict(set, slot, key)
 }
 
@@ -889,18 +959,13 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 		slices.Sort(victims)
 		for _, key := range victims {
 			slot := c.findSlot(s, key)
-			if c.m != nil || c.sink != nil {
+			if c.sink != nil {
 				r := &s.slots[slot]
-				if c.m != nil {
-					c.m.invalidations.Inc()
-				}
-				if c.sink != nil {
-					c.sink.Emit(telemetry.Event{
-						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: set, Key: key,
-						VictimKey: key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
-						Policy: c.polName,
-					})
-				}
+				c.sink.Emit(telemetry.Event{
+					Seq: c.clock, Kind: telemetry.EventInvalidate, Set: set, Key: key,
+					VictimKey: key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
+					Policy: c.polName,
+				})
 			}
 			c.removeResident(set, slot)
 			c.Stats.Invalidations++
@@ -1019,5 +1084,9 @@ func (c *Cache) Occupancy() float64 {
 }
 
 // ResetStats clears the statistics without disturbing contents; behaviour
-// runs use it to discard warmup effects.
-func (c *Cache) ResetStats() { c.Stats = Stats{} }
+// runs use it to discard warmup effects. Attached metrics keep counting
+// across it: what was counted before the reset is published first.
+func (c *Cache) ResetStats() {
+	c.Publish()
+	c.Stats, c.pub = Stats{}, Stats{}
+}
